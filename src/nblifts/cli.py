@@ -35,8 +35,8 @@ from .experiments import (
 from .graphs import GraphFormatError, graph_to_json, load_graph, save_graph
 from .lifts import ModelError, ModelSpec, sample_lift
 from .magnify import is_pseudo_magnifier
-from .spectral import SpectralError, ihara_check, is_ramanujan, mu1, \
-    spectral_report
+from .spectral import SpectralError, adjacency_spectrum, ihara_check, \
+    is_ramanujan, mu1, spectral_report
 from .tangles import TangleQuery, scan_tangles
 from .walks import TraceMismatchError
 
@@ -85,8 +85,7 @@ def cmd_spectrum(args) -> int:
             "edges": g.num_edges,
             "regular_degree": d,
             "mu1": mu1(g) if g.n else None,
-            "adjacency_spectrum": [float(v) for v in
-                                   np.linalg.eigvalsh(_adj(g))] if g.n else [],
+            "adjacency_spectrum": [float(v) for v in adjacency_spectrum(g)],
         }
         if d is not None:
             payload["ramanujan"] = is_ramanujan(g)
@@ -100,11 +99,6 @@ def cmd_spectrum(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _adj(g):
-    from .spectral import adjacency_matrix
-    return adjacency_matrix(g)
 
 
 def cmd_tangle_scan(args) -> int:

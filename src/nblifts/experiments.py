@@ -25,8 +25,9 @@ from .magnify import is_pseudo_magnifier, lift_fibre_blocks
 from .spectral import (
     adjacency_spectrum,
     alon_threshold,
+    count_non_alon,
     hashimoto_radius_from_adjacency,
-    multiset_difference,
+    new_eigenvalues,
 )
 from .tangles import TangleQuery, scan_tangles
 
@@ -47,7 +48,6 @@ class ExperimentConfig:
     tangle_max_vertices: int = 6
     tangle_max_subgraphs: int = 4000
     magnifier: dict | None = None  # {"R", "gamma", "mode", "trials"}
-    spectrum_tol: float = 1e-7
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,7 +76,6 @@ class ExperimentConfig:
                 "max_subgraphs": self.tangle_max_subgraphs,
             }),
             "magnifier": self.magnifier,
-            "spectrum_tol": self.spectrum_tol,
         }
 
     @classmethod
@@ -108,7 +107,6 @@ class ExperimentConfig:
                 tangle_max_vertices=max_v,
                 tangle_max_subgraphs=max_s,
                 magnifier=data.get("magnifier"),
-                spectrum_tol=float(data.get("spectrum_tol", 1e-7)),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}")
@@ -158,20 +156,14 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     d = cfg.base.regular_degree()
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
-    cover_vals = adjacency_spectrum(cover)
-    new_vals, _ = multiset_difference(cover_vals, base_spectrum,
-                                      cfg.spectrum_tol)
-    non_alon = 0
-    max_new = None
-    if new_vals:
-        max_new = max(abs(v) for v in new_vals)
-        if d is not None:
-            bound = alon_threshold(d, cfg.epsilon)
-            non_alon = sum(1 for v in new_vals if abs(v) > bound)
-    lam2 = float(cover_vals[-2]) if len(cover_vals) >= 2 else None
+    new_vals = new_eigenvalues(lift)
+    max_new = float(np.abs(new_vals).max()) if len(new_vals) else None
+    non_alon = 0 if d is None else count_non_alon(new_vals, d, cfg.epsilon)
+    every = np.sort(np.concatenate([base_spectrum, new_vals]))
+    lam2 = float(every[-2]) if len(every) >= 2 else None
     connected = cover.is_connected()
     near_d = None
-    if not connected and d is not None and new_vals:
+    if not connected and d is not None and len(new_vals):
         near_d = any(abs(abs(v) - d) <= 1e-6 for v in new_vals)
     has_t = caps = None
     if cfg.tangle is not None:

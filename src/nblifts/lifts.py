@@ -66,13 +66,9 @@ class ModelSpec:
 
 def validate_model(base: Graph, spec: ModelSpec, n: int) -> bool:
     """True iff (base, spec, n) is a legal combination."""
-    if n < 1:
-        return False
-    if base.has_half_loops() and spec.half_loop is None:
-        return False
-    if spec.parity == "even" and n % 2 != 0:
-        return False
-    if spec.parity == "odd" and n % 2 != 1:
+    try:
+        _check_model(base, spec, n)
+    except ModelError:
         return False
     return True
 

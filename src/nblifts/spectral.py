@@ -1,13 +1,13 @@
 """Adjacency and non-backtracking (Hashimoto) spectra of multigraphs.
 
 The Hashimoto matrix is indexed by directed edges; its (e1, e2) entry is 1
-exactly when e2 continues e1 without backtracking.  Old-versus-new spectrum
-separation matches each base eigenvalue to its nearest unmatched cover
-eigenvalue; the covering guarantees exact matches mathematically, so a
-failed match signals a numerical problem or an invalid lift.
+exactly when e2 continues e1 without backtracking.  The new spectrum of a
+lift is its spectrum on functions summing to zero over every fibre; the
+fibre-constant functions carry the base spectrum.  Both are invariant under
+A and H, so new eigenvalues are picked by index, with no matching.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -44,17 +44,19 @@ def adjacency_spectrum(g: Graph) -> np.ndarray:
     return np.linalg.eigvalsh(adjacency_matrix(g)) if g.n else np.zeros(0)
 
 
-def hashimoto_spectrum(g: Graph) -> np.ndarray:
-    """All Hashimoto eigenvalues, sorted by (real, imag); dense solve."""
-    m = g.num_directed
-    if m == 0:
-        return np.zeros(0, dtype=complex)
-    if m > DENSE_HASHIMOTO_CAP:
+def _dense_hashimoto(g: Graph) -> np.ndarray:
+    if g.num_directed > DENSE_HASHIMOTO_CAP:
         raise SpectralError(
             f"dense Hashimoto solve capped at {DENSE_HASHIMOTO_CAP} directed "
-            f"edges; got {m}")
-    vals = np.linalg.eigvals(hashimoto_matrix(g))
-    return np.asarray(sorted(vals, key=lambda z: (z.real, z.imag)))
+            f"edges; got {g.num_directed}")
+    return hashimoto_matrix(g)
+
+
+def hashimoto_spectrum(g: Graph) -> np.ndarray:
+    """All Hashimoto eigenvalues, sorted by (real, imag); dense solve."""
+    if g.num_directed == 0:
+        return np.zeros(0, dtype=complex)
+    return np.asarray(_sorted_tuple(np.linalg.eigvals(_dense_hashimoto(g))))
 
 
 def _power_spectral_radius(g: Graph, tol: float = 1e-12,
@@ -177,19 +179,35 @@ def multiset_contains(big_vals, small_vals, tol) -> bool:
         return False
 
 
-def new_spectrum(lift: Lift, which: str = "adjacency",
-                 tol: float = 1e-7) -> SpectrumMultiset:
-    """Cover spectrum minus the pulled-back base spectrum, as a multiset."""
+def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
+    """Eigenvalues of the cover on functions summing to zero on every fibre.
+
+    Adds c * P in place, P averaging each fibre (n x n blocks in build_lift's
+    layout); P commutes with A and H, and c = 2 * maxdeg + 1 lifts every old
+    eigenvalue past every new one, so the new ones are the lowest #V_B (n-1)
+    (adjacency, ascending) or #E_B (n-1) (Hashimoto, complex, by real part).
+    """
+    n = lift.assignment.degree
     if which == "adjacency":
-        cover_vals = adjacency_spectrum(lift.cover)
-        base_vals = adjacency_spectrum(lift.base)
+        blocks, m = lift.base.n, adjacency_matrix(lift.cover)
     elif which == "hashimoto":
-        cover_vals = hashimoto_spectrum(lift.cover)
-        base_vals = hashimoto_spectrum(lift.base)
+        blocks, m = lift.base.num_directed, _dense_hashimoto(lift.cover)
     else:
         raise ValueError("which must be 'adjacency' or 'hashimoto'")
-    rest, _ = multiset_difference(cover_vals, base_vals, tol)
-    return SpectrumMultiset(rest, tol)
+    k = blocks * (n - 1)
+    shift = (2 * max(lift.base.degrees(), default=0) + 1) / n
+    for b in range(blocks):
+        m[b * n:(b + 1) * n, b * n:(b + 1) * n] += shift
+    if which == "adjacency":
+        return np.linalg.eigvalsh(m)[:k]
+    vals = np.linalg.eigvals(m).astype(complex)
+    return vals[np.argsort(vals.real)[:k]]
+
+
+def new_spectrum(lift: Lift, which: str = "adjacency",
+                 tol: float = 1e-7) -> SpectrumMultiset:
+    """New eigenvalues as a multiset; tol only groups multiplicity pairs."""
+    return SpectrumMultiset(_sorted_tuple(new_eigenvalues(lift, which)), tol)
 
 
 def alon_threshold(d: int, eps: float = 0.0) -> float:
@@ -197,14 +215,17 @@ def alon_threshold(d: int, eps: float = 0.0) -> float:
     return 2.0 * math.sqrt(d - 1) + eps
 
 
-def non_alon_count(lift: Lift, eps: float, tol: float = 1e-7) -> int:
+def count_non_alon(new_vals, d: int, eps: float) -> int:
+    """Number of new eigenvalues with |lambda| > 2 sqrt(d-1) + eps."""
+    return int(np.sum(np.abs(new_vals) > alon_threshold(d, eps)))
+
+
+def non_alon_count(lift: Lift, eps: float) -> int:
     """New adjacency eigenvalues exceeding the regular-base bound, with multiplicity."""
     d = lift.base.regular_degree()
     if d is None:
         raise ValueError("non-Alon counting requires a regular base graph")
-    bound = alon_threshold(d, eps)
-    new = new_spectrum(lift, "adjacency", tol)
-    return sum(1 for v in new.values if abs(v) > bound)
+    return count_non_alon(new_eigenvalues(lift), d, eps)
 
 
 def is_ramanujan(g: Graph, tol: float = 1e-9) -> bool:
@@ -252,17 +273,7 @@ def ihara_check(g: Graph, tol: float = 1e-6) -> IharaResult:
     actual = hashimoto_spectrum(g)
     if len(actual) != len(expected):
         return IharaResult("checked", False, math.inf)
-    worst = 0.0
-    used = [False] * len(actual)
-    for b in expected:
-        best, best_err = -1, math.inf
-        for i, c in enumerate(actual):
-            if not used[i]:
-                err = abs(c - b)
-                if err < best_err:
-                    best, best_err = i, err
-        used[best] = True
-        worst = max(worst, best_err)
+    _, worst = multiset_difference(actual, expected, math.inf)
     return IharaResult("checked", bool(worst <= tol), float(worst))
 
 
@@ -316,13 +327,18 @@ class SpectralReport:
 
 def spectral_report(lift: Lift, eps: float, tol: float = 1e-7,
                     with_hashimoto: bool = False) -> SpectralReport:
+    """Cover spectra reported as base plus new; tol groups multiplicities."""
     d = lift.base.regular_degree()
-    cover_adj = SpectrumMultiset(_sorted_tuple(adjacency_spectrum(lift.cover)), tol)
-    new_adj = new_spectrum(lift, "adjacency", tol)
+
+    def old_and_new(base_vals, which):
+        new = new_spectrum(lift, which, tol)
+        every = np.concatenate([base_vals, new.values])
+        return SpectrumMultiset(_sorted_tuple(every), tol), new
+
+    cover_adj, new_adj = old_and_new(adjacency_spectrum(lift.base), "adjacency")
     hsp = new_h = None
     if with_hashimoto:
-        hsp = SpectrumMultiset(_sorted_tuple(hashimoto_spectrum(lift.cover)), tol)
-        new_h = new_spectrum(lift, "hashimoto", tol)
-    count = non_alon_count(lift, eps, tol) if d is not None else None
+        hsp, new_h = old_and_new(hashimoto_spectrum(lift.base), "hashimoto")
+    count = count_non_alon(new_adj.values, d, eps) if d is not None else None
     ram = is_ramanujan(lift.base) if d is not None else None
     return SpectralReport(cover_adj, hsp, new_adj, new_h, count, eps, d, ram)

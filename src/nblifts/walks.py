@@ -376,7 +376,6 @@ def vlg(t: Graph, lengths) -> Graph:
         chain = [a] + list(range(next_v, next_v + k - 1)) + [b]
         next_v += k - 1
         pairs.extend(zip(chain, chain[1:]))
-    g = Graph(next_v, (), (), ())
     tail, head, inv = [], [], []
     for u, v in pairs:
         e = len(tail)

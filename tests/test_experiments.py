@@ -176,3 +176,23 @@ def test_report_json_schema(tmp_path):
     report.dump(out)
     parsed = json.loads(out.read_text())
     assert parsed["rows"][0]["n"] == 2
+
+
+def test_config_from_json_ignores_legacy_spectrum_tol():
+    data = small_config().to_json()
+    assert "spectrum_tol" not in data
+    legacy = dict(data, spectrum_tol=1e-5)
+    assert ExperimentConfig.from_json(legacy).to_json() == data
+
+
+def test_run_trial_lambda2_on_disconnected_cover(monkeypatch):
+    from nblifts import experiments
+    from nblifts.lifts import PermutationAssignment, build_lift
+    b = complete_graph(4)
+    by_rep = {rep: [1, 0, 3, 2] for rep in b.orientation()}
+    lift = build_lift(b, PermutationAssignment.from_dict(b, 4, by_rep))
+    monkeypatch.setattr(experiments, "sample_lift", lambda *args: lift)
+    rec = run_trial(small_config(degrees=(4,), epsilon=0.1), 4, 0)
+    assert rec.lambda2 == pytest.approx(3.0, abs=1e-9)
+    assert not rec.connected and rec.new_eig_near_d
+    assert rec.non_alon >= 1

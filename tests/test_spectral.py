@@ -228,3 +228,27 @@ def test_spectral_report_json():
     assert data["ramanujan_base"] is True
     assert len(data["new_adjacency"]["values"]) == 2 * 4
     assert len(data["hashimoto"]["values"]) == 12 * 3
+
+
+FIBRE_CASES = [
+    (complete_graph(4), ModelSpec(), 5),
+    (bouquet(2), ModelSpec("cyclic"), 5),
+    (bouquet(1, 2), ModelSpec("permutation", "matching"), 6),
+    (bouquet(0, 3), ModelSpec("permutation", "near_matching"), 7),
+    (bouquet(2, 1), ModelSpec("cyclic", "matching"), 6),
+    (from_pairs(3, [(0, 1), (1, 2), (0, 2), (1, 1)]), ModelSpec(), 4),
+    (from_pairs(3, [(0, 1), (1, 2)]), ModelSpec(), 3),   # tree: H nilpotent
+    (complete_graph(4), ModelSpec(), 1),
+]
+
+
+@pytest.mark.parametrize("which", ["adjacency", "hashimoto"])
+@pytest.mark.parametrize("base,spec,n", FIBRE_CASES)
+def test_new_spectrum_is_full_minus_base(base, spec, n, which):
+    spectrum = adjacency_spectrum if which == "adjacency" else hashimoto_spectrum
+    lift = sample_lift(base, n, spec, seed=31 + n)
+    expected, _ = multiset_difference(spectrum(lift.cover), spectrum(base), 1e-6)
+    new = new_spectrum(lift, which)
+    blocks = base.n if which == "adjacency" else base.num_directed
+    assert len(new) == len(expected) == (n - 1) * blocks
+    assert multiset_contains(expected, new.values, 1e-6)
