@@ -130,6 +130,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     conditioned_nonalon,
+    conditioned_rows,
     fit_scaling,
     run_experiment,
     wilson_interval,

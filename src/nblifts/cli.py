@@ -28,7 +28,7 @@ from .bounds import (
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    conditioned_nonalon,
+    conditioned_rows,
     run_experiment,
     write_rows_csv,
 )
@@ -216,12 +216,12 @@ def cmd_experiment(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}")
     cfg = ExperimentConfig.from_json(data)
+    if args.conditioned and cfg.tangle is None:
+        raise ConfigError("--conditioned requires a tangle query in the config")
     report = run_experiment(cfg)
     payload = report.to_json()
     if args.conditioned:
-        if cfg.tangle is None:
-            raise ConfigError("--conditioned requires a tangle query in the config")
-        payload["conditioned_rows"] = conditioned_nonalon(cfg)
+        payload["conditioned_rows"] = conditioned_rows(cfg, report.records)
     out = args.out or data.get("output")
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:

@@ -23,6 +23,7 @@ from .graphs import Graph, graph_from_json, graph_to_json, load_graph
 from .lifts import ModelSpec, sample_lift, validate_model
 from .magnify import is_pseudo_magnifier, lift_fibre_blocks
 from .spectral import (
+    SpectralError,
     adjacency_spectrum,
     alon_threshold,
     count_non_alon,
@@ -255,6 +256,8 @@ class ExperimentReport:
     slope_fit: dict
     notes: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+    # TrialRecords of the trials that completed, by degree; not serialised
+    records: dict = field(default_factory=dict, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -293,6 +296,11 @@ def write_rows_csv(rows, csv_path):
             writer.writerow([row[c] for c in CSV_COLUMNS])
 
 
+# Numerical and model failures a trial can legitimately raise (ModelError is
+# a ValueError); anything else is a bug and propagates.
+TRIAL_ERRORS = (SpectralError, np.linalg.LinAlgError, ValueError)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     base_spectrum = adjacency_spectrum(cfg.base)
     records_by_n = {}
@@ -303,10 +311,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for t in range(cfg.trials):
             try:
                 recs.append(run_trial(cfg, n, t, base_spectrum))
-            except Exception as exc:  # per-trial failures are counted, not fatal
+            except TRIAL_ERRORS as exc:  # counted, not fatal; bugs propagate
                 failures_by_n[n] = failures_by_n.get(n, 0) + 1
                 if len(errors) < 20:
-                    errors.append(f"n={n} trial={t}: {exc}")
+                    errors.append(
+                        f"n={n} trial={t}: {type(exc).__name__}: {exc}")
         records_by_n[n] = recs
     rows = summarize_rows(cfg, records_by_n, failures_by_n)
     fit = fit_scaling(rows)
@@ -318,38 +327,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         notes.append(
             "threshold 2*sqrt(d-1) + epsilon is at least d: no adjacency "
             "eigenvalue of a d-regular cover can exceed it")
-    return ExperimentReport(cfg, rows, fit, notes, errors)
+    return ExperimentReport(cfg, rows, fit, notes, errors, records_by_n)
+
+
+def conditioned_rows(cfg: ExperimentConfig, records_by_n: dict) -> list:
+    """Non-Alon positive frequency among tangle-free trials, per degree.
+
+    Takes the records of an experiment with a tangle query.  Trials whose
+    scans hit the caps count as tangle-free but flag the row, since freeness
+    is then unverified.
+    """
+    rows = []
+    for n in cfg.degrees:
+        free = [r for r in records_by_n[n] if not r.has_tangles]
+        positive_free = sum(1 for r in free if r.non_alon > 0)
+        rows.append({
+            "n": n,
+            "tanglefree_trials": len(free),
+            "nonalon_positive_among_tanglefree": positive_free,
+            "frequency": (positive_free / len(free)) if free else None,
+            "caps_hit_trials": sum(1 for r in free if r.tangle_caps_hit),
+            "empty": not free,
+        })
+    return rows
 
 
 def conditioned_nonalon(cfg: ExperimentConfig) -> list:
-    """Non-Alon positive frequency among tangle-free trials, per degree.
-
-    Trials whose scans hit the caps count as tangle-free but flag the row,
-    since freeness is then unverified.
-    """
+    """conditioned_rows of a fresh run of cfg."""
     if cfg.tangle is None:
         raise ConfigError("conditioned run needs a tangle query")
-    base_spectrum = adjacency_spectrum(cfg.base)
-    rows = []
-    for n in cfg.degrees:
-        free = 0
-        positive_free = 0
-        caveat = 0
-        for t in range(cfg.trials):
-            rec = run_trial(cfg, n, t, base_spectrum)
-            if rec.has_tangles:
-                continue
-            free += 1
-            if rec.tangle_caps_hit:
-                caveat += 1
-            if rec.non_alon > 0:
-                positive_free += 1
-        rows.append({
-            "n": n,
-            "tanglefree_trials": free,
-            "nonalon_positive_among_tanglefree": positive_free,
-            "frequency": (positive_free / free) if free else None,
-            "caps_hit_trials": caveat,
-            "empty": free == 0,
-        })
-    return rows
+    return conditioned_rows(cfg, run_experiment(cfg).records)

@@ -19,7 +19,8 @@ DENSE_HASHIMOTO_CAP = 4000
 
 
 class SpectralError(RuntimeError):
-    """Numerical failure: unmatched eigenvalue or broken trace identity."""
+    """Numerical failure: unmatched eigenvalue, broken trace identity or
+    unconverged power iteration."""
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -65,7 +66,8 @@ def _power_spectral_radius(g: Graph, tol: float = 1e-12,
 
     The identity shift removes the periodicity that stalls plain power
     iteration on bipartite-like transition structures; the shift moves the
-    Perron root by exactly one.
+    Perron root by exactly one.  Raises SpectralError when the iterate has
+    not converged after max_iter steps.
     """
     m = g.num_directed
     src = []
@@ -86,7 +88,9 @@ def _power_spectral_radius(g: Graph, tol: float = 1e-12,
         if abs(norm - lam) <= tol * max(1.0, norm):
             return norm - 1.0
         lam, x = norm, y
-    return lam - 1.0
+    raise SpectralError(
+        f"power iteration did not converge in {max_iter} steps "
+        f"(last estimate {lam - 1.0})")
 
 
 def mu1(g: Graph) -> float:

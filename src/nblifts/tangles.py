@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 import math
 
-from .graphs import Graph, bouquet, dipole, from_pairs, girth, prune_with_map, \
+from .graphs import Graph, bouquet, dipole, from_pairs, prune_with_map, \
     subgraph_from_orbits
 from .spectral import mu1
 
@@ -273,6 +273,11 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
     appears exactly once.  Branches stop once the order reaches the query
     bound (adding edges can only raise it) or the vertex cap is exceeded.
     Found subgraphs are deduplicated up to isomorphism.
+
+    A connected orbit set of order -1 is a tree (mu1 = 0) and one of order 0
+    prunes to nothing or to a single cycle (mu1 = 0 or 1).  When the query
+    cannot admit a value of 1, as for every nu > 1, such candidates are
+    counted in ``scanned`` and grown but never materialised as graphs.
     """
     if max_vertices < 1 or max_subgraphs < 1:
         raise ValueError("caps must be positive")
@@ -290,6 +295,8 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
         for v in rep_verts[r]:
             vert_reps.setdefault(v, set()).add(r)
     seen_iso = set()
+    # orders <= 0 have mu1 in {0, 1}; the margin covers eigensolver noise
+    skip_low_order = not query.admits(1.0 + 1e-6)
 
     for seed in reps:
         stack = [(frozenset([seed]), frozenset(rep_verts[seed]))]
@@ -303,18 +310,19 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
                 report.caps_hit = True
                 return report
             report.scanned += 1
-            sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
-            value = mu1(sub)
-            if query.admits(value) and sub.order() < query.r:
-                try:
-                    key = canonical_form(sub)
-                except TooSymmetricError:
-                    # vertex-transitive finds are deduplicated by location
-                    key = ("weak", edge_set)
-                if key not in seen_iso:
-                    seen_iso.add(key)
-                    report.found.append(
-                        (sub, value, sub.order(), query.boundary_band(value)))
+            if order > 0 or not skip_low_order:
+                sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
+                value = mu1(sub)
+                if query.admits(value):
+                    try:
+                        key = canonical_form(sub)
+                    except TooSymmetricError:
+                        # vertex-transitive finds are deduplicated by location
+                        key = ("weak", edge_set)
+                    if key not in seen_iso:
+                        seen_iso.add(key)
+                        report.found.append(
+                            (sub, value, order, query.boundary_band(value)))
             # grow by any adjacent orbit with a larger representative
             frontier = set()
             for v in verts:

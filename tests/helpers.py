@@ -69,3 +69,62 @@ def random_connected_multigraph(rng, max_vertices=6, max_extra=5,
               for _ in range(int(rng.integers(0, 3)))
               if rng.random() < half_loop_prob]
     return from_pairs(n, pairs, halves)
+
+
+def reference_scan_tangles(g, query, max_vertices=8, max_subgraphs=50_000):
+    """The tangle scan that materialises and eigensolves every candidate.
+
+    A test-only reference for scan_tangles: same enumeration order, caps and
+    deduplication, with no shortcut for candidates of order at most 0.
+    """
+    from nblifts.graphs import prune_with_map, subgraph_from_orbits
+    from nblifts.spectral import mu1
+    from nblifts.tangles import TangleReport, TooSymmetricError
+
+    core, _, _ = prune_with_map(g)
+    report = TangleReport(query)
+    reps = core.orientation()
+    if not reps:
+        return report
+    rep_verts = {r: {core.tail[r], core.head[r]} for r in reps}
+    vert_reps = {}
+    for r in reps:
+        for v in rep_verts[r]:
+            vert_reps.setdefault(v, set()).add(r)
+    seen_iso = set()
+    for seed in reps:
+        stack = [(frozenset([seed]), frozenset(rep_verts[seed]))]
+        visited = {stack[0][0]}
+        while stack:
+            edge_set, verts = stack.pop()
+            if len(edge_set) - len(verts) >= query.r:
+                continue
+            if report.scanned >= max_subgraphs:
+                report.caps_hit = True
+                return report
+            report.scanned += 1
+            sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
+            value = mu1(sub)
+            if query.admits(value) and sub.order() < query.r:
+                try:
+                    key = canonical_form(sub)
+                except TooSymmetricError:
+                    key = ("weak", edge_set)
+                if key not in seen_iso:
+                    seen_iso.add(key)
+                    report.found.append(
+                        (sub, value, sub.order(), query.boundary_band(value)))
+            frontier = set()
+            for v in verts:
+                frontier |= vert_reps[v]
+            for r in frontier - edge_set:
+                if r <= seed:
+                    continue
+                nv = verts | rep_verts[r]
+                if len(nv) > max_vertices:
+                    continue
+                ns = edge_set | {r}
+                if ns not in visited:
+                    visited.add(ns)
+                    stack.append((ns, frozenset(nv)))
+    return report

@@ -196,3 +196,104 @@ def test_run_trial_lambda2_on_disconnected_cover(monkeypatch):
     assert rec.lambda2 == pytest.approx(3.0, abs=1e-9)
     assert not rec.connected and rec.new_eig_near_d
     assert rec.non_alon >= 1
+
+
+def _count_trials(monkeypatch):
+    from nblifts import experiments
+    calls = []
+    real = experiments.run_trial
+
+    def counting(cfg, n, t, base_spectrum=None):
+        calls.append((n, t))
+        return real(cfg, n, t, base_spectrum)
+
+    monkeypatch.setattr(experiments, "run_trial", counting)
+    return calls
+
+
+def _rerun_conditioned_rows(cfg):
+    """Conditioned rows from fresh, independent runs of every trial."""
+    rows = []
+    for n in cfg.degrees:
+        recs = [run_trial(cfg, n, t) for t in range(cfg.trials)]
+        free = [r for r in recs if not r.has_tangles]
+        rows.append({
+            "n": n,
+            "tanglefree_trials": len(free),
+            "nonalon_positive_among_tanglefree": sum(
+                1 for r in free if r.non_alon > 0),
+            "frequency": (sum(1 for r in free if r.non_alon > 0) / len(free)
+                          if free else None),
+            "caps_hit_trials": sum(1 for r in free if r.tangle_caps_hit),
+            "empty": not free,
+        })
+    return rows
+
+
+def test_conditioned_cli_runs_each_trial_once(tmp_path, monkeypatch):
+    from nblifts.cli import main
+    cfg = small_config(degrees=(2, 3), trials=3,
+                       tangle=TangleQuery(nu=1.2, r=3),
+                       tangle_max_vertices=5, tangle_max_subgraphs=500)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    expected = _rerun_conditioned_rows(cfg)
+    calls = _count_trials(monkeypatch)
+    out = str(tmp_path / "report")
+    assert main(["experiment", "--config", str(cfg_path), "--out", out,
+                 "--conditioned"]) == 0
+    assert len(calls) == len(cfg.degrees) * cfg.trials
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert all(row["failed"] == 0 for row in report["rows"])
+    assert json.dumps(report["conditioned_rows"], sort_keys=True) == \
+        json.dumps(expected, sort_keys=True)
+
+
+def test_conditioned_nonalon_runs_each_trial_once(monkeypatch):
+    cfg = small_config(degrees=(2, 4), trials=4,
+                       tangle=TangleQuery(nu=1.2, r=3))
+    expected = _rerun_conditioned_rows(cfg)
+    calls = _count_trials(monkeypatch)
+    assert conditioned_nonalon(cfg) == expected
+    assert len(calls) == len(cfg.degrees) * cfg.trials
+    with pytest.raises(ConfigError):
+        conditioned_nonalon(small_config())
+
+
+def test_run_experiment_keeps_records_out_of_json():
+    cfg = small_config(trials=2)
+    report = run_experiment(cfg)
+    assert [len(report.records[n]) for n in cfg.degrees] == [2, 2]
+    assert report.records[2][1] == run_trial(cfg, 2, 1)
+    assert "records" not in report.to_json()
+
+
+def test_run_experiment_propagates_programming_errors(monkeypatch):
+    from nblifts import experiments
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(experiments, "run_trial", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run_experiment(small_config(trials=1))
+
+
+def test_run_experiment_counts_numerical_failures(monkeypatch):
+    from nblifts import experiments
+    from nblifts.spectral import SpectralError
+    real = experiments.run_trial
+
+    def flaky(cfg, n, t, base_spectrum=None):
+        if t == 1:
+            raise SpectralError("no convergence")
+        return real(cfg, n, t, base_spectrum)
+
+    monkeypatch.setattr(experiments, "run_trial", flaky)
+    report = run_experiment(small_config(degrees=(2, 3), trials=3))
+    assert [row["failed"] for row in report.rows] == [1, 1]
+    assert [row["trials"] for row in report.rows] == [2, 2]
+    assert report.errors == [
+        "n=2 trial=1: SpectralError: no convergence",
+        "n=3 trial=1: SpectralError: no convergence",
+    ]

@@ -252,3 +252,9 @@ def test_new_spectrum_is_full_minus_base(base, spec, n, which):
     blocks = base.n if which == "adjacency" else base.num_directed
     assert len(new) == len(expected) == (n - 1) * blocks
     assert multiset_contains(expected, new.values, 1e-6)
+
+
+def test_power_iteration_raises_when_not_converged():
+    from nblifts.spectral import _power_spectral_radius
+    with pytest.raises(SpectralError, match="did not converge"):
+        _power_spectral_radius(complete_graph(4), max_iter=1)

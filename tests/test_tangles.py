@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
     bouquet, complete_graph, cycle_graph, dipole, from_pairs, girth,
@@ -256,3 +257,57 @@ def test_report_json():
     data = rep.to_json()
     assert data["scanned"] >= 1
     assert data["found"][0]["order"] < 2
+
+
+@st.composite
+def _small_multigraph(draw):
+    """Up to 6 vertices and 9 orbits: edges, parallel edges, whole-loops
+    (u == v) and half-loops."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
+    halves = draw(st.lists(vertex, max_size=3))
+    return from_pairs(n, pairs, halves)
+
+
+_NUS = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5, 1.2,
+        math.sqrt(2), math.sqrt(3), 1.8, 2.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=_small_multigraph(),
+    nu=st.one_of(st.sampled_from(_NUS), st.floats(0.2, 3.5)),
+    r=st.integers(1, 3),
+    strict=st.booleans(),
+    max_vertices=st.integers(1, 6),
+    max_subgraphs=st.integers(1, 60),
+)
+def test_scan_matches_materialising_reference(g, nu, r, strict, max_vertices,
+                                              max_subgraphs):
+    from helpers import reference_scan_tangles
+    query = TangleQuery(nu=nu, r=r, strict=strict)
+    got = scan_tangles(g, query, max_vertices, max_subgraphs)
+    want = reference_scan_tangles(g, query, max_vertices, max_subgraphs)
+    assert got.to_json() == want.to_json()
+
+
+def test_scan_never_eigensolves_low_order_candidates(monkeypatch):
+    from helpers import reference_scan_tangles
+    from nblifts import tangles
+    lift = sample_lift(complete_graph(4), 12, ModelSpec(), seed=5)
+    query = TangleQuery(nu=1.8, r=3)
+    solved = []
+
+    def counting_mu1(sub):
+        solved.append(sub.order())
+        return mu1(sub)
+
+    monkeypatch.setattr(tangles, "mu1", counting_mu1)
+    report = scan_tangles(lift.cover, query, max_vertices=6,
+                          max_subgraphs=400)
+    assert report.caps_hit and report.scanned == 400
+    assert all(order > 0 for order in solved)
+    want = reference_scan_tangles(lift.cover, query, 6, 400)
+    assert report.to_json() == want.to_json()
+    assert len(solved) < report.scanned
