@@ -63,6 +63,7 @@ from .spectral import (
     mu1,
     multiset_contains,
     multiset_difference,
+    new_adjacency_extremes,
     new_eigenvalues,
     new_spectrum,
     non_alon_count,

@@ -28,7 +28,7 @@ from .spectral import (
     alon_threshold,
     count_non_alon,
     hashimoto_radius_from_adjacency,
-    new_eigenvalues,
+    new_adjacency_extremes,
 )
 from .tangles import TangleQuery, scan_tangles
 
@@ -157,7 +157,8 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     d = cfg.base.regular_degree()
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
-    new_vals = new_eigenvalues(lift)
+    threshold = math.inf if d is None else alon_threshold(d, cfg.epsilon)
+    new_vals = new_adjacency_extremes(lift, threshold)
     max_new = float(np.abs(new_vals).max()) if len(new_vals) else None
     non_alon = 0 if d is None else count_non_alon(new_vals, d, cfg.epsilon)
     every = np.sort(np.concatenate([base_spectrum, new_vals]))

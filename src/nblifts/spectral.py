@@ -5,6 +5,12 @@ exactly when e2 continues e1 without backtracking.  The new spectrum of a
 lift is its spectrum on functions summing to zero over every fibre; the
 fibre-constant functions carry the base spectrum.  Both are invariant under
 A and H, so new eigenvalues are picked by index, with no matching.
+
+Trials only need the extreme new adjacency eigenvalues.  For covers of at
+least LANCZOS_MIN_VERTICES vertices these come from matrix-free Lanczos on
+the sum-zero subspace, with the dense solve as fallback whenever an extreme
+reaches the threshold; smaller covers, and every full spectrum, take the
+dense solve.
 """
 
 from dataclasses import dataclass
@@ -12,10 +18,18 @@ import math
 
 import numpy as np
 
-from .graphs import Graph, nb_successors, prune
+from .graphs import Graph, prune
 from .lifts import Lift
 
 DENSE_HASHIMOTO_CAP = 4000
+# Covers with at least this many vertices get their extreme new adjacency
+# eigenvalues by Lanczos, smaller ones by the dense solve; on 2 cores the
+# two cost the same near 600 vertices, and Lanczos needs 150 to 300 steps
+# up to 2000 vertices.
+LANCZOS_MIN_VERTICES = 800
+LANCZOS_MAX_STEPS = 500
+LANCZOS_CHECK_EVERY = 20
+LANCZOS_TOL = 1e-10
 
 
 class SpectralError(RuntimeError):
@@ -23,11 +37,33 @@ class SpectralError(RuntimeError):
     unconverged power iteration."""
 
 
+def _edge_arrays(g: Graph):
+    """tail and head as integer arrays, indexed by directed-edge id."""
+    return (np.asarray(g.tail, dtype=np.int64),
+            np.asarray(g.head, dtype=np.int64))
+
+
+def _nb_pairs(g: Graph):
+    """(e, f) pairs with f continuing e without backtracking, ordered by e
+    and then by f's position in out_edges(head[e])."""
+    tail, head = _edge_arrays(g)
+    inv = np.asarray(g.inv, dtype=np.int64)
+    out = np.argsort(tail, kind="stable")
+    deg = np.bincount(tail, minlength=g.n)
+    start = np.concatenate([[0], np.cumsum(deg)[:-1]])
+    per_edge = deg[head]
+    src = np.repeat(np.arange(g.num_directed), per_edge)
+    offset = np.arange(len(src)) - np.repeat(np.cumsum(per_edge) - per_edge,
+                                             per_edge)
+    dst = out[start[head[src]] + offset]
+    keep = dst != inv[src]
+    return src[keep], dst[keep]
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric vertex matrix; entry (u, v) counts directed edges u -> v."""
     a = np.zeros((g.n, g.n))
-    for e in range(g.num_directed):
-        a[g.tail[e], g.head[e]] += 1.0
+    np.add.at(a, _edge_arrays(g), 1.0)
     return a
 
 
@@ -35,9 +71,7 @@ def hashimoto_matrix(g: Graph) -> np.ndarray:
     """0/1 directed-edge matrix of non-backtracking length-two walks."""
     m = g.num_directed
     h = np.zeros((m, m))
-    for e, succs in enumerate(nb_successors(g)):
-        for f in succs:
-            h[e, f] = 1.0
+    h[_nb_pairs(g)] = 1.0
     return h
 
 
@@ -70,13 +104,7 @@ def _power_spectral_radius(g: Graph, tol: float = 1e-12,
     not converged after max_iter steps.
     """
     m = g.num_directed
-    src = []
-    dst = []
-    for e, succs in enumerate(nb_successors(g)):
-        src.extend([e] * len(succs))
-        dst.extend(succs)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = _nb_pairs(g)
     x = np.full(m, 1.0 / math.sqrt(m))
     lam = 0.0
     for _ in range(max_iter):
@@ -214,6 +242,78 @@ def new_spectrum(lift: Lift, which: str = "adjacency",
     return SpectrumMultiset(_sorted_tuple(new_eigenvalues(lift, which)), tol)
 
 
+def lanczos_new_extremes(lift: Lift, max_steps: int = LANCZOS_MAX_STEPS):
+    """Lowest and highest new adjacency eigenvalues, matrix-free.
+
+    Lanczos with full reorthogonalisation on x -> A x minus each fibre's
+    mean, from a fixed start vector summing to zero on every fibre; A x is a
+    gather and a bincount over the cover's edges.  Every LANCZOS_CHECK_EVERY
+    steps the residual bounds beta * |s_k| of the lowest and highest Ritz
+    values are tested against LANCZOS_TOL.  Returns [theta_min, theta_max]
+    once both pass or the Krylov space is exhausted (every Ritz value when
+    there are fewer than two), or None after max_steps steps.
+    """
+    cover, n = lift.cover, lift.assignment.degree
+    size = cover.n
+    dim = lift.base.n * (n - 1)
+    if dim == 0:
+        return np.zeros(0)
+    tail, head = _edge_arrays(cover)
+
+    def sum_zero(x):
+        x = x.reshape(-1, n)
+        return (x - x.mean(axis=1, keepdims=True)).ravel()
+
+    q = sum_zero(np.random.default_rng(0).standard_normal(size))
+    q /= np.linalg.norm(q)
+    steps = min(dim, max_steps)
+    basis = np.empty((steps, size))
+    alpha, beta = [], []
+    for k in range(steps):
+        basis[k] = q
+        w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        if k:
+            w -= beta[-1] * basis[k - 1]
+        done = basis[:k + 1]
+        before = np.linalg.norm(w)
+        w -= done.T @ (done @ w)
+        b = float(np.linalg.norm(w))
+        if b < 0.5 * before:  # cancellation: orthogonalise once more
+            w -= done.T @ (done @ w)
+            b = float(np.linalg.norm(w))
+        exhausted = k + 1 == dim or b <= LANCZOS_TOL
+        if exhausted or k + 1 == steps or (k + 1) % LANCZOS_CHECK_EVERY == 0:
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(t)
+            pick = [0, -1] if k else [0]
+            if exhausted or np.all(b * np.abs(s[-1, pick]) <= LANCZOS_TOL):
+                return theta[pick]
+        beta.append(b)
+        q = w / b
+    return None
+
+
+def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:
+    """New adjacency eigenvalues, as many as counting past threshold needs.
+
+    Covers below LANCZOS_MIN_VERTICES vertices return new_eigenvalues(lift).
+    Larger ones return lanczos_new_extremes(lift), [theta_min, theta_max].
+    These give the full spectrum's count (zero), max |new| and lambda2: no
+    new eigenvalue exceeds the base's largest, since cover and base share
+    their spectral radius.  The dense solve runs instead when some |theta|
+    comes within LANCZOS_TOL of threshold (the count may be positive and
+    needs multiplicities) or when Lanczos hits its step cap.
+    """
+    if lift.cover.n < LANCZOS_MIN_VERTICES:
+        return new_eigenvalues(lift)
+    vals = lanczos_new_extremes(lift, LANCZOS_MAX_STEPS)
+    if vals is None or np.any(np.abs(vals) + LANCZOS_TOL > threshold):
+        return new_eigenvalues(lift)
+    return vals
+
+
 def alon_threshold(d: int, eps: float = 0.0) -> float:
     """2 sqrt(d-1) + eps, the bound new eigenvalues are tested against."""
     return 2.0 * math.sqrt(d - 1) + eps
@@ -229,7 +329,8 @@ def non_alon_count(lift: Lift, eps: float) -> int:
     d = lift.base.regular_degree()
     if d is None:
         raise ValueError("non-Alon counting requires a regular base graph")
-    return count_non_alon(new_eigenvalues(lift), d, eps)
+    return count_non_alon(
+        new_adjacency_extremes(lift, alon_threshold(d, eps)), d, eps)
 
 
 def is_ramanujan(g: Graph, tol: float = 1e-9) -> bool:

@@ -128,3 +128,26 @@ def reference_scan_tangles(g, query, max_vertices=8, max_subgraphs=50_000):
                     visited.add(ns)
                     stack.append((ns, frozenset(nv)))
     return report
+
+
+def loop_adjacency_matrix(g):
+    """The adjacency matrix built one directed edge at a time; test-only
+    reference for the vectorised adjacency_matrix."""
+    import numpy as np
+    a = np.zeros((g.n, g.n))
+    for e in range(g.num_directed):
+        a[g.tail[e], g.head[e]] += 1.0
+    return a
+
+
+def loop_hashimoto_matrix(g):
+    """The Hashimoto matrix built from nb_successors one edge at a time;
+    test-only reference for the vectorised hashimoto_matrix."""
+    import numpy as np
+    from nblifts.graphs import nb_successors
+    m = g.num_directed
+    h = np.zeros((m, m))
+    for e, succs in enumerate(nb_successors(g)):
+        for f in succs:
+            h[e, f] = 1.0
+    return h

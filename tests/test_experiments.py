@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nblifts.graphs import bouquet, complete_graph, graph_to_json
+from nblifts.graphs import bouquet, complete_graph, from_pairs, graph_to_json
 from nblifts.lifts import ModelSpec
 from nblifts.experiments import (
     ConfigError,
@@ -297,3 +297,54 @@ def test_run_experiment_counts_numerical_failures(monkeypatch):
         "n=2 trial=1: SpectralError: no convergence",
         "n=3 trial=1: SpectralError: no convergence",
     ]
+
+
+PETERSEN = from_pairs(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+
+def _count_dense_calls(monkeypatch):
+    """Wrap spectral.new_eigenvalues; returns the list of its calls."""
+    from nblifts import spectral
+    calls = []
+    real = spectral.new_eigenvalues
+    monkeypatch.setattr(spectral, "new_eigenvalues",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("base,n", [
+    (complete_graph(4), 40), (complete_graph(5), 30), (PETERSEN, 12),
+    (bouquet(2), 60),
+])
+def test_run_trial_lanczos_matches_dense(base, n, monkeypatch):
+    from dataclasses import astuple
+    from nblifts import spectral
+    cfg = ExperimentConfig(base=base, model=ModelSpec(), degrees=(n,),
+                           trials=4, epsilon=0.1, seed=11)
+    dense = [astuple(run_trial(cfg, n, t)) for t in range(cfg.trials)]
+    calls = _count_dense_calls(monkeypatch)
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_VERTICES", 0)
+    fast = [astuple(run_trial(cfg, n, t)) for t in range(cfg.trials)]
+    assert len(calls) < cfg.trials
+    for a, b in zip(dense, fast):
+        for x, y in zip(a, b):
+            if isinstance(x, float):
+                assert abs(x - y) <= 1e-12
+            else:
+                assert x == y
+
+
+def test_determinism_byte_identical_above_lanczos_size(tmp_path, monkeypatch):
+    from nblifts import spectral
+    cfg = ExperimentConfig(base=complete_graph(5), model=ModelSpec(),
+                           degrees=(200,), trials=2, epsilon=0.1, seed=5)
+    assert 5 * 200 >= spectral.LANCZOS_MIN_VERTICES
+    calls = _count_dense_calls(monkeypatch)
+    files = [tmp_path / name for name in ("a.json", "a.csv", "b.json", "b.csv")]
+    run_experiment(cfg).dump(files[0], files[1])
+    run_experiment(cfg).dump(files[2], files[3])
+    assert not calls
+    assert files[0].read_bytes() == files[2].read_bytes()
+    assert files[1].read_bytes() == files[3].read_bytes()
