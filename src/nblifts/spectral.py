@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .graphs import Graph, prune
+from .graphs import Graph, nb_successors, prune
 from .lifts import Lift
 
 DENSE_HASHIMOTO_CAP = 4000
@@ -43,23 +43,6 @@ def _edge_arrays(g: Graph):
             np.asarray(g.head, dtype=np.int64))
 
 
-def _nb_pairs(g: Graph):
-    """(e, f) pairs with f continuing e without backtracking, ordered by e
-    and then by f's position in out_edges(head[e])."""
-    tail, head = _edge_arrays(g)
-    inv = np.asarray(g.inv, dtype=np.int64)
-    out = np.argsort(tail, kind="stable")
-    deg = np.bincount(tail, minlength=g.n)
-    start = np.concatenate([[0], np.cumsum(deg)[:-1]])
-    per_edge = deg[head]
-    src = np.repeat(np.arange(g.num_directed), per_edge)
-    offset = np.arange(len(src)) - np.repeat(np.cumsum(per_edge) - per_edge,
-                                             per_edge)
-    dst = out[start[head[src]] + offset]
-    keep = dst != inv[src]
-    return src[keep], dst[keep]
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric vertex matrix; entry (u, v) counts directed edges u -> v."""
     a = np.zeros((g.n, g.n))
@@ -71,7 +54,9 @@ def hashimoto_matrix(g: Graph) -> np.ndarray:
     """0/1 directed-edge matrix of non-backtracking length-two walks."""
     m = g.num_directed
     h = np.zeros((m, m))
-    h[_nb_pairs(g)] = 1.0
+    for e, succs in enumerate(nb_successors(g)):
+        for f in succs:
+            h[e, f] = 1.0
     return h
 
 
@@ -104,7 +89,13 @@ def _power_spectral_radius(g: Graph, tol: float = 1e-12,
     not converged after max_iter steps.
     """
     m = g.num_directed
-    src, dst = _nb_pairs(g)
+    src = []
+    dst = []
+    for e, succs in enumerate(nb_successors(g)):
+        src.extend([e] * len(succs))
+        dst.extend(succs)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     x = np.full(m, 1.0 / math.sqrt(m))
     lam = 0.0
     for _ in range(max_iter):
@@ -242,7 +233,7 @@ def new_spectrum(lift: Lift, which: str = "adjacency",
     return SpectrumMultiset(_sorted_tuple(new_eigenvalues(lift, which)), tol)
 
 
-def lanczos_new_extremes(lift: Lift, max_steps: int = LANCZOS_MAX_STEPS):
+def lanczos_new_extremes(lift: Lift):
     """Lowest and highest new adjacency eigenvalues, matrix-free.
 
     Lanczos with full reorthogonalisation on x -> A x minus each fibre's
@@ -251,7 +242,7 @@ def lanczos_new_extremes(lift: Lift, max_steps: int = LANCZOS_MAX_STEPS):
     steps the residual bounds beta * |s_k| of the lowest and highest Ritz
     values are tested against LANCZOS_TOL.  Returns [theta_min, theta_max]
     once both pass or the Krylov space is exhausted (every Ritz value when
-    there are fewer than two), or None after max_steps steps.
+    there are fewer than two), or None after LANCZOS_MAX_STEPS steps.
     """
     cover, n = lift.cover, lift.assignment.degree
     size = cover.n
@@ -266,7 +257,7 @@ def lanczos_new_extremes(lift: Lift, max_steps: int = LANCZOS_MAX_STEPS):
 
     q = sum_zero(np.random.default_rng(0).standard_normal(size))
     q /= np.linalg.norm(q)
-    steps = min(dim, max_steps)
+    steps = min(dim, LANCZOS_MAX_STEPS)
     basis = np.empty((steps, size))
     alpha, beta = [], []
     for k in range(steps):
@@ -308,7 +299,7 @@ def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:
     """
     if lift.cover.n < LANCZOS_MIN_VERTICES:
         return new_eigenvalues(lift)
-    vals = lanczos_new_extremes(lift, LANCZOS_MAX_STEPS)
+    vals = lanczos_new_extremes(lift)
     if vals is None or np.any(np.abs(vals) + LANCZOS_TOL > threshold):
         return new_eigenvalues(lift)
     return vals

@@ -138,16 +138,3 @@ def loop_adjacency_matrix(g):
     for e in range(g.num_directed):
         a[g.tail[e], g.head[e]] += 1.0
     return a
-
-
-def loop_hashimoto_matrix(g):
-    """The Hashimoto matrix built from nb_successors one edge at a time;
-    test-only reference for the vectorised hashimoto_matrix."""
-    import numpy as np
-    from nblifts.graphs import nb_successors
-    m = g.num_directed
-    h = np.zeros((m, m))
-    for e, succs in enumerate(nb_successors(g)):
-        for f in succs:
-            h[e, f] = 1.0
-    return h

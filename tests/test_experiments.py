@@ -304,30 +304,20 @@ PETERSEN = from_pairs(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(i, i + 5) for i in range(5)])
 
 
-def _count_dense_calls(monkeypatch):
-    """Wrap spectral.new_eigenvalues; returns the list of its calls."""
-    from nblifts import spectral
-    calls = []
-    real = spectral.new_eigenvalues
-    monkeypatch.setattr(spectral, "new_eigenvalues",
-                        lambda *a: calls.append(a) or real(*a))
-    return calls
-
-
 @pytest.mark.parametrize("base,n", [
     (complete_graph(4), 40), (complete_graph(5), 30), (PETERSEN, 12),
     (bouquet(2), 60),
 ])
-def test_run_trial_lanczos_matches_dense(base, n, monkeypatch):
+def test_run_trial_lanczos_matches_dense(base, n, monkeypatch, dense_calls):
     from dataclasses import astuple
     from nblifts import spectral
     cfg = ExperimentConfig(base=base, model=ModelSpec(), degrees=(n,),
                            trials=4, epsilon=0.1, seed=11)
     dense = [astuple(run_trial(cfg, n, t)) for t in range(cfg.trials)]
-    calls = _count_dense_calls(monkeypatch)
+    dense_calls.clear()
     monkeypatch.setattr(spectral, "LANCZOS_MIN_VERTICES", 0)
     fast = [astuple(run_trial(cfg, n, t)) for t in range(cfg.trials)]
-    assert len(calls) < cfg.trials
+    assert len(dense_calls) < cfg.trials
     for a, b in zip(dense, fast):
         for x, y in zip(a, b):
             if isinstance(x, float):
@@ -336,15 +326,14 @@ def test_run_trial_lanczos_matches_dense(base, n, monkeypatch):
                 assert x == y
 
 
-def test_determinism_byte_identical_above_lanczos_size(tmp_path, monkeypatch):
+def test_determinism_byte_identical_above_lanczos_size(tmp_path, dense_calls):
     from nblifts import spectral
     cfg = ExperimentConfig(base=complete_graph(5), model=ModelSpec(),
                            degrees=(200,), trials=2, epsilon=0.1, seed=5)
     assert 5 * 200 >= spectral.LANCZOS_MIN_VERTICES
-    calls = _count_dense_calls(monkeypatch)
     files = [tmp_path / name for name in ("a.json", "a.csv", "b.json", "b.csv")]
     run_experiment(cfg).dump(files[0], files[1])
     run_experiment(cfg).dump(files[2], files[3])
-    assert not calls
+    assert not dense_calls
     assert files[0].read_bytes() == files[2].read_bytes()
     assert files[1].read_bytes() == files[3].read_bytes()
