@@ -3,8 +3,9 @@
 A length-k walk is SNBC when it is closed, never steps onto the reverse of
 the edge it just used, and does not backtrack across the wrap-around either.
 The number of such walks equals the trace of the k-th power of the Hashimoto
-matrix; enumeration here is by depth-first search over non-backtracking
-transitions and serves as the independent check of that identity.
+matrix.  count_snbc_dfs is the independent check of that identity: it
+enumerates walks level by level over non-backtracking transitions, in
+bounded chunks with one array entry per walk, and forms no matrix products.
 
 Homotopy types: the visited subgraph of a walk carries a first-encountered
 ordering; suppressing its beads (degree-2 vertices not carrying a self-loop)
@@ -21,6 +22,11 @@ import json
 import numpy as np
 
 from .graphs import Graph, OrderedGraph, nb_successors
+
+
+# Most walks count_snbc_dfs creates in one extension step; a level whose
+# extension would create more is split in halves first.
+WALK_CHUNK = 1 << 13
 
 
 class BudgetExceededError(RuntimeError):
@@ -107,28 +113,52 @@ def enumerate_snbc(g: Graph, k: int, budget: int = 10_000_000):
 
 
 def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
-    """SNBC walk counts for every length 1..kmax by explicit DFS.
+    """SNBC walk counts for every length 1..kmax by explicit enumeration.
 
-    One pass per starting edge covers all lengths at once; this is the
-    brute-force side of the trace identity, so no matrix algebra is used.
+    Walks are enumerated level by level: a level holds one array entry per
+    non-backtracking walk of its length (its first and last directed edge),
+    is counted, and is extended by every non-backtracking successor of the
+    last edge.  A level whose extension would pass WALK_CHUNK entries is
+    split in halves first, so memory stays O(kmax * WALK_CHUNK).  This is
+    the brute-force side of the trace identity: every walk is visited and
+    no matrix algebra is used.
     """
+    if kmax < 1:
+        raise ValueError("walk length must be at least 1")
     succ = _check_budget(g, kmax, budget)
-    head = g.head
+    head = np.asarray(g.head, dtype=np.int64)
+    tail = np.asarray(g.tail, dtype=np.int64)
+    inv = np.asarray(g.inv, dtype=np.int64)
+    out_deg = np.fromiter(map(len, succ), dtype=np.int64, count=len(succ))
+    first = np.zeros(len(succ) + 1, dtype=np.int64)
+    np.cumsum(out_deg, out=first[1:])
+    flat = np.fromiter((f for fs in succ for f in fs), dtype=np.int64,
+                       count=int(first[-1]))
     counts = [0] * (kmax + 1)
-    for start in range(g.num_directed):
-        t0 = g.tail[start]
-        bad_last = g.inv[start]
-        stack = [(start, 1)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            e, depth = pop()
-            if head[e] == t0 and e != bad_last:
-                counts[depth] += 1
-            if depth < kmax:
-                depth += 1
-                for f in succ[e]:
-                    push((f, depth))
+
+    def record(start, end, depth):
+        closed = (head[end] == tail[start]) & (end != inv[start])
+        counts[depth] += int(np.count_nonzero(closed))
+        if depth < kmax and end.size:
+            stack.append((start, end, depth))
+
+    stack = []
+    edges = np.arange(g.num_directed, dtype=np.int64)
+    record(edges, edges, 1)
+    while stack:
+        start, end, depth = stack.pop()
+        deg = out_deg[end]
+        size = int(deg.sum())
+        if size > WALK_CHUNK and len(end) > 1:
+            half = len(end) // 2
+            stack.append((start[:half], end[:half], depth))
+            stack.append((start[half:], end[half:], depth))
+            continue
+        # the children of entry p fill next-level positions c_p .. c_p +
+        # deg_p - 1 (c = exclusive prefix sum of deg); position i holds
+        # flat[first[end[p]] + i - c_p], a successor of p's last edge
+        skip = np.repeat(first[end] - (np.cumsum(deg) - deg), deg)
+        record(np.repeat(start, deg), flat[np.arange(size) + skip], depth + 1)
     return counts[1:]
 
 

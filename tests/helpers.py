@@ -138,3 +138,31 @@ def loop_adjacency_matrix(g):
     for e in range(g.num_directed):
         a[g.tail[e], g.head[e]] += 1.0
     return a
+
+
+def reference_count_snbc_dfs(g, kmax, budget=10_000_000_000):
+    """SNBC walk counts for every length 1..kmax by explicit DFS.
+
+    The per-walk depth-first search that count_snbc_dfs replaced, one stack
+    entry per walk; a test-only reference for the level-by-level version.
+    """
+    from nblifts.walks import _check_budget
+
+    succ = _check_budget(g, kmax, budget)
+    head = g.head
+    counts = [0] * (kmax + 1)
+    for start in range(g.num_directed):
+        t0 = g.tail[start]
+        bad_last = g.inv[start]
+        stack = [(start, 1)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            e, depth = pop()
+            if head[e] == t0 and e != bad_last:
+                counts[depth] += 1
+            if depth < kmax:
+                depth += 1
+                for f in succ[e]:
+                    push((f, depth))
+    return counts[1:]

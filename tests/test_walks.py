@@ -290,3 +290,76 @@ def test_write_walk_census(tmp_path):
     import json
     catalog = json.loads(cat_path.read_text())
     assert all(tid.startswith("T") for tid in catalog)
+
+
+def test_count_snbc_dfs_rejects_nonpositive_length():
+    for g, kmax in ((bouquet(1), 0), (complete_graph(4), -1)):
+        with pytest.raises(ValueError, match="walk length must be at least 1"):
+            count_snbc_dfs(g, kmax)
+
+
+def test_count_snbc_dfs_budget_guard():
+    with pytest.raises(BudgetExceededError):
+        count_snbc_dfs(complete_graph(4), 12, budget=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_count_snbc_dfs_matches_per_walk_reference(seed, kmax):
+    import numpy as np
+    from helpers import random_connected_multigraph, reference_count_snbc_dfs
+    g = random_connected_multigraph(np.random.default_rng(seed),
+                                    max_vertices=5, max_extra=3,
+                                    half_loop_prob=0.5)
+    assert count_snbc_dfs(g, kmax) == reference_count_snbc_dfs(g, kmax)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_count_snbc_dfs_splitting_every_level_keeps_counts(seed, kmax):
+    from unittest import mock
+    import numpy as np
+    from helpers import random_connected_multigraph, reference_count_snbc_dfs
+    from nblifts import walks
+    g = random_connected_multigraph(np.random.default_rng(seed),
+                                    max_vertices=4, max_extra=2,
+                                    half_loop_prob=0.5)
+    with mock.patch.object(walks, "WALK_CHUNK", 1):
+        got = count_snbc_dfs(g, kmax)
+    assert got == reference_count_snbc_dfs(g, kmax)
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_count_snbc_dfs_edge_cases(monkeypatch, chunk):
+    from nblifts import walks
+    from nblifts.graphs import Graph
+    if chunk is not None:
+        monkeypatch.setattr(walks, "WALK_CHUNK", chunk)
+    assert count_snbc_dfs(Graph(0, (), (), ()), 4) == [0] * 4
+    assert count_snbc_dfs(Graph(3, (), (), ()), 4) == [0] * 4
+    for k in range(1, 5):
+        assert count_snbc_dfs(path_graph(k), 6) == [0] * 6
+    # length one: a whole-loop closes in both directions, a half-loop
+    # backtracks onto itself, an ordinary edge does not close
+    assert count_snbc_dfs(bouquet(1), 1) == [2]
+    assert count_snbc_dfs(bouquet(0, 1), 1) == [0]
+    assert count_snbc_dfs(bouquet(2, 3), 1) == [4]
+    assert count_snbc_dfs(from_pairs(2, [(0, 1)], [0, 1]), 1) == [0]
+    assert count_snbc_dfs(cycle_graph(3), 1) == [0]
+
+
+def test_count_snbc_dfs_memory_bounded_by_chunk(monkeypatch):
+    # bouquet(2) has 4 * 3**11 = 708,588 non-backtracking walks of length
+    # 12, 5.7 MB as one int64 array; split levels stay far below that
+    import tracemalloc
+    from nblifts import walks
+    monkeypatch.setattr(walks, "WALK_CHUNK", 256)
+    g = bouquet(2)
+    tracemalloc.start()
+    try:
+        counts = count_snbc_dfs(g, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [snbc_count(g, k) for k in range(1, 13)]
+    assert peak < 1 << 20, peak
