@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .graphs import GraphFormatError, graph_to_json, load_graph, save_graph
 from .lifts import ModelError, ModelSpec, sample_lift
-from .magnify import is_pseudo_magnifier
+from .magnify import MODES, is_pseudo_magnifier
 from .spectral import SpectralError, adjacency_spectrum, ihara_check, \
     is_ramanujan, mu1, spectral_report
 from .tangles import TangleQuery, scan_tangles
@@ -281,8 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--R", type=int, default=1)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_magnify_check)

@@ -21,7 +21,12 @@ import numpy as np
 from . import __version__
 from .graphs import Graph, graph_from_json, graph_to_json, load_graph
 from .lifts import ModelSpec, sample_lift, validate_model
-from .magnify import is_pseudo_magnifier, lift_fibre_blocks
+from .magnify import (
+    EXHAUSTIVE_VERTEX_CAP,
+    check_magnifier_args,
+    is_pseudo_magnifier,
+    lift_fibre_blocks,
+)
 from .spectral import (
     SpectralError,
     adjacency_spectrum,
@@ -30,11 +35,20 @@ from .spectral import (
     hashimoto_radius_from_adjacency,
     new_adjacency_extremes,
 )
-from .tangles import TangleQuery, scan_tangles
+from .tangles import TangleQuery, check_scan_caps, scan_tangles
 
 
 class ConfigError(ValueError):
     """Bad experiment configuration."""
+
+
+MAGNIFIER_KEYS = ("R", "gamma", "mode", "trials")
+
+
+def _magnifier_args(m: dict):
+    """(R, gamma, mode, trials) of a magnifier block, defaults filled in."""
+    return (int(m.get("R", 1)), float(m["gamma"]), m.get("mode", "auto"),
+            int(m.get("trials", 100)))
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,37 @@ class ExperimentConfig:
             if not validate_model(self.base, self.model, n):
                 raise ConfigError(
                     f"degree {n} violates the model's parity or half-loop rules")
+        if self.tangle is not None:
+            try:
+                check_scan_caps(self.tangle_max_vertices,
+                                self.tangle_max_subgraphs)
+            except ValueError as exc:
+                raise ConfigError(f"tangle: {exc}")
+        if self.magnifier is not None:
+            self._check_magnifier()
+
+    def _check_magnifier(self):
+        m = self.magnifier
+        if not isinstance(m, dict):
+            raise ConfigError("magnifier must be an object")
+        unknown = sorted(set(m) - set(MAGNIFIER_KEYS))
+        if unknown:
+            raise ConfigError(f"magnifier: unknown keys {unknown}; "
+                              f"expected {list(MAGNIFIER_KEYS)}")
+        if "gamma" not in m:
+            raise ConfigError("magnifier: gamma is required")
+        try:
+            R, gamma, mode, trials = _magnifier_args(m)
+            check_magnifier_args(R, gamma, mode)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"magnifier: {exc}")
+        if trials < 1:
+            raise ConfigError("magnifier: trials must be at least 1")
+        largest = self.base.n * max(self.degrees)
+        if mode == "exhaustive" and largest > EXHAUSTIVE_VERTEX_CAP:
+            raise ConfigError(
+                f"magnifier: exhaustive mode is capped at "
+                f"{EXHAUSTIVE_VERTEX_CAP} vertices; covers reach {largest}")
 
     def to_json(self) -> dict:
         return {
@@ -175,11 +220,10 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
         has_t, caps = rep.has_tangles(), rep.caps_hit
     mag = None
     if cfg.magnifier is not None:
-        m = cfg.magnifier
+        R, gamma, mode, trials = _magnifier_args(cfg.magnifier)
         mag = is_pseudo_magnifier(
-            cover, int(m.get("R", 1)), float(m["gamma"]),
-            mode=m.get("mode", "auto"), trials=int(m.get("trials", 100)),
-            seed=seed, fibre_blocks=lift_fibre_blocks(lift)).holds
+            cover, R, gamma, mode=mode, trials=trials, seed=seed,
+            fibre_blocks=lift_fibre_blocks(lift)).holds
     return TrialRecord(n, t, non_alon, max_new, lam2, connected, near_d,
                        has_t, caps, mag)
 

@@ -27,6 +27,7 @@ from .lifts import Lift
 from .spectral import lambda2
 
 EXHAUSTIVE_VERTEX_CAP = 20
+MODES = ("auto", "exhaustive", "sampled")
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,25 @@ def _check_subsets(g: Graph, gamma: float, subsets):
 def is_magnifier(g: Graph, gamma: float, mode: str = "auto",
                  trials: int = 200, seed=0, fibre_blocks=()) -> MagnificationResult:
     """Test the expansion inequality over all U with |U| <= |V|/2."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     return is_pseudo_magnifier(g, 1, gamma, mode, trials, seed, fibre_blocks)
+
+
+def check_magnifier_args(R: int, gamma: float, mode: str) -> None:
+    """Raise ValueError unless is_pseudo_magnifier accepts these arguments."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}; "
+                         f"got {mode!r}")
 
 
 def is_pseudo_magnifier(g: Graph, R: int, gamma: float, mode: str = "auto",
                         trials: int = 200, seed=0,
                         fibre_blocks=()) -> MagnificationResult:
     """Like is_magnifier, restricted to the window R <= |U| <= |V|/2."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    check_magnifier_args(R, gamma, mode)
     hi = g.n // 2
     if hi < R:
         return MagnificationResult(True, None, "exhaustive", 0, None)

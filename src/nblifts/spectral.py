@@ -8,9 +8,10 @@ A and H, so new eigenvalues are picked by index, with no matching.
 
 Trials only need the extreme new adjacency eigenvalues.  For covers of at
 least LANCZOS_MIN_VERTICES vertices these come from matrix-free Lanczos on
-the sum-zero subspace, with the dense solve as fallback whenever an extreme
-reaches the threshold; smaller covers, and every full spectrum, take the
-dense solve.
+the sum-zero subspace: the plain three-term recurrence, O(N) memory, with a
+residual test on every returned value and the dense solve as fallback
+whenever an extreme reaches the threshold or the test never passes.
+Smaller covers, and every full spectrum, take the dense solve.
 """
 
 from dataclasses import dataclass
@@ -23,10 +24,12 @@ from .lifts import Lift
 
 DENSE_HASHIMOTO_CAP = 4000
 # Covers with at least this many vertices get their extreme new adjacency
-# eigenvalues by Lanczos, smaller ones by the dense solve; on 2 cores the
-# two cost the same near 600 vertices, and Lanczos needs 150 to 300 steps
-# up to 2000 vertices.
-LANCZOS_MIN_VERTICES = 800
+# eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms of
+# new_eigenvalues / lanczos_new_extremes over lifts of K5, K4, bouquet(2)
+# and Petersen (3 seeds each, 2-core Xeon): N=200 3.0/6.3, 300 6.9/6.9,
+# 400 12.5/8.8, 500 20.1/10.1, 800 52.2/16.0, 2000 539/27.3.  Lanczos
+# needs 120 to 300 steps up to 2000 vertices.
+LANCZOS_MIN_VERTICES = 400
 LANCZOS_MAX_STEPS = 500
 LANCZOS_CHECK_EVERY = 20
 LANCZOS_TOL = 1e-10
@@ -233,21 +236,71 @@ def new_spectrum(lift: Lift, which: str = "adjacency",
     return SpectrumMultiset(_sorted_tuple(new_eigenvalues(lift, which)), tol)
 
 
+def ritz_last_component(alpha, beta, theta: float) -> float:
+    """|s_k| of the unit eigenvector s of the k x k tridiagonal T for its
+    eigenvalue theta (diagonal alpha, nonzero off-diagonal beta).
+
+    Twisted factorisation (Parlett and Dhillon; LAPACK's dlar1v), O(k): the
+    pivots d of theta I - T from the top and p from the bottom meet at the
+    row r where the twist d_r + p_r - (theta - alpha_r) is smallest, near
+    the largest component of s.  From s_r = 1 the components are carried
+    away from r, upward by s_i = beta_i s_{i+1} / d_i and downward by
+    s_{i+1} = beta_i s_i / p_{i+1}, so each ratio runs the way s decays
+    and rounding errors are damped.  A one-sided recurrence from the last
+    row is not safe: when s peaks near the bottom it can report a tiny
+    |s_k| for a large one.  Returns nan when a pivot is zero or the result
+    is not finite, so that it never reads as converged.
+    """
+    k = len(alpha)
+    shifted = [theta - a for a in alpha]
+    down = shifted[:]  # pivots of theta I - T from the top
+    up = shifted[:]    # and from the bottom
+    try:
+        for i in range(1, k):
+            down[i] -= beta[i - 1] * (beta[i - 1] / down[i - 1])
+            j = k - 1 - i
+            up[j] -= beta[j] * (beta[j] / up[j + 1])
+        twist = [abs(d + p - x) for d, p, x in zip(down, up, shifted)]
+        r = min(range(k), key=twist.__getitem__)
+        total = comp = 1.0
+        for i in range(r - 1, -1, -1):
+            comp *= beta[i] / down[i]
+            total += comp * comp
+        comp = 1.0
+        for i in range(r, k - 1):
+            comp *= beta[i] / up[i + 1]
+            total += comp * comp
+    except ZeroDivisionError:
+        return math.nan
+    last = abs(comp) / math.sqrt(total)
+    # a nan entry makes every twist nan
+    ok = math.isfinite(twist[r]) and math.isfinite(total)
+    return last if ok and math.isfinite(last) else math.nan
+
+
 def lanczos_new_extremes(lift: Lift):
     """Lowest and highest new adjacency eigenvalues, matrix-free.
 
-    Lanczos with full reorthogonalisation on x -> A x minus each fibre's
-    mean, from a fixed start vector summing to zero on every fibre; A x is a
-    gather and a bincount over the cover's edges.  Every LANCZOS_CHECK_EVERY
-    steps the residual bounds beta * |s_k| of the lowest and highest Ritz
-    values are tested against LANCZOS_TOL.  Returns [theta_min, theta_max]
-    once both pass or the Krylov space is exhausted (every Ritz value when
-    there are fewer than two), or None after LANCZOS_MAX_STEPS steps.
+    Plain Lanczos (three-term recurrence, no reorthogonalisation) on
+    x -> A x minus each fibre's mean, from a fixed start vector summing to
+    zero on every fibre; A x is a gather and a bincount over the cover's
+    edges.  Only the current and previous vectors are kept, so memory is
+    O(N) and k steps cost O(kN).  Lost orthogonality does not spoil the
+    extremes: by Paige (1980) it only adds copies of Ritz values that have
+    already converged, and a Ritz value theta with residual bound
+    beta * |s_k| <= tol lies within tol + O(k eps |A|) of an eigenvalue.
+
+    Every LANCZOS_CHECK_EVERY steps, and when beta <= LANCZOS_TOL (an
+    invariant subspace), the tridiagonal's eigenvalues are taken by eigvalsh
+    and |s_k| of the lowest and highest by ritz_last_component.  Returns
+    [theta_min, theta_max] (every Ritz value when there are fewer than two)
+    only once both residual bounds are <= LANCZOS_TOL; a nan bound never
+    passes.  Returns None at an invariant subspace that fails the test or
+    after LANCZOS_MAX_STEPS steps.
     """
     cover, n = lift.cover, lift.assignment.degree
     size = cover.n
-    dim = lift.base.n * (n - 1)
-    if dim == 0:
+    if lift.base.n * (n - 1) == 0:
         return np.zeros(0)
     tail, head = _edge_arrays(cover)
 
@@ -257,32 +310,28 @@ def lanczos_new_extremes(lift: Lift):
 
     q = sum_zero(np.random.default_rng(0).standard_normal(size))
     q /= np.linalg.norm(q)
-    steps = min(dim, LANCZOS_MAX_STEPS)
-    basis = np.empty((steps, size))
     alpha, beta = [], []
-    for k in range(steps):
-        basis[k] = q
+    for k in range(LANCZOS_MAX_STEPS):
         w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
         alpha.append(float(q @ w))
         w -= alpha[-1] * q
         if k:
-            w -= beta[-1] * basis[k - 1]
-        done = basis[:k + 1]
-        before = np.linalg.norm(w)
-        w -= done.T @ (done @ w)
+            w -= beta[-1] * prev
         b = float(np.linalg.norm(w))
-        if b < 0.5 * before:  # cancellation: orthogonalise once more
-            w -= done.T @ (done @ w)
-            b = float(np.linalg.norm(w))
-        exhausted = k + 1 == dim or b <= LANCZOS_TOL
-        if exhausted or k + 1 == steps or (k + 1) % LANCZOS_CHECK_EVERY == 0:
-            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            theta, s = np.linalg.eigh(t)
-            pick = [0, -1] if k else [0]
-            if exhausted or np.all(b * np.abs(s[-1, pick]) <= LANCZOS_TOL):
-                return theta[pick]
+        invariant = b <= LANCZOS_TOL
+        if (invariant or (k + 1) % LANCZOS_CHECK_EVERY == 0
+                or k + 1 == LANCZOS_MAX_STEPS):
+            t = np.diag(alpha)  # and beta above and below the diagonal
+            t.flat[1::k + 2] = t.flat[k + 1::k + 2] = beta
+            theta = np.linalg.eigvalsh(t)
+            pick = theta[[0, -1]] if k else theta
+            if all(b * ritz_last_component(alpha, beta, float(x))
+                   <= LANCZOS_TOL for x in pick):
+                return pick
+            if invariant:
+                return None
         beta.append(b)
-        q = w / b
+        prev, q = q, w / b
     return None
 
 
@@ -295,7 +344,7 @@ def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:
     new eigenvalue exceeds the base's largest, since cover and base share
     their spectral radius.  The dense solve runs instead when some |theta|
     comes within LANCZOS_TOL of threshold (the count may be positive and
-    needs multiplicities) or when Lanczos hits its step cap.
+    needs multiplicities) or when lanczos_new_extremes returns None.
     """
     if lift.cover.n < LANCZOS_MIN_VERTICES:
         return new_eigenvalues(lift)

@@ -17,6 +17,7 @@ from .graphs import Graph, bouquet, dipole, from_pairs, prune_with_map, \
 from .spectral import mu1
 
 MU1_TOL = 1e-9
+SCAN_VERTEX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,15 @@ class TangleReport:
         }
 
 
+def check_scan_caps(max_vertices: int, max_subgraphs: int) -> None:
+    """Raise ValueError unless scan_tangles accepts these caps."""
+    if max_vertices < 1 or max_subgraphs < 1:
+        raise ValueError("caps must be positive")
+    if max_vertices > SCAN_VERTEX_CAP:
+        raise ValueError(f"max_vertices capped at {SCAN_VERTEX_CAP} "
+                         "(canonical forms would blow up factorially)")
+
+
 def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
                  max_subgraphs: int = 50_000) -> TangleReport:
     """Search connected subgraphs of the pruned core for tangles.
@@ -279,11 +289,7 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
     cannot admit a value of 1, as for every nu > 1, such candidates are
     counted in ``scanned`` and grown but never materialised as graphs.
     """
-    if max_vertices < 1 or max_subgraphs < 1:
-        raise ValueError("caps must be positive")
-    if max_vertices > 12:
-        raise ValueError("max_vertices capped at 12 (canonical forms would "
-                         "blow up factorially)")
+    check_scan_caps(max_vertices, max_subgraphs)
     core, _, _ = prune_with_map(g)
     report = TangleReport(query)
     reps = core.orientation()

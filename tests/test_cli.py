@@ -116,3 +116,11 @@ def test_experiment_bad_config(tmp_path):
 
 def test_missing_graph_file():
     assert main(["spectrum", "--graph", "/nonexistent/g.json"]) == 3
+
+
+def test_experiment_magnifier_without_gamma_exits_3(tmp_path, k4_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": k4_path, "degrees": [2], "trials": 1, "epsilon": 0.2,
+        "magnifier": {"R": 2}}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3

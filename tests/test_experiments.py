@@ -337,3 +337,62 @@ def test_determinism_byte_identical_above_lanczos_size(tmp_path, dense_calls):
     assert not dense_calls
     assert files[0].read_bytes() == files[2].read_bytes()
     assert files[1].read_bytes() == files[3].read_bytes()
+
+
+def _config_json(**overrides):
+    data = {"base": graph_to_json(complete_graph(4)), "degrees": [2, 3],
+            "trials": 2, "epsilon": 0.2, "seed": 7}
+    data.update(overrides)
+    return data
+
+
+def test_config_rejects_magnifier_without_gamma():
+    # used to reach run_trial and escape run_experiment as a KeyError
+    with pytest.raises(ConfigError, match="gamma is required"):
+        ExperimentConfig.from_json(_config_json(magnifier={"R": 2}))
+
+
+def test_config_rejects_nonpositive_gamma():
+    # used to mark every trial failed
+    with pytest.raises(ConfigError, match="gamma must be positive"):
+        ExperimentConfig.from_json(_config_json(magnifier={"gamma": 0}))
+
+
+def test_config_rejects_tangle_max_vertices_over_cap():
+    tangle = {"nu": 1.8, "r": 2, "max_vertices": 13}
+    with pytest.raises(ConfigError, match="max_vertices capped at 12"):
+        ExperimentConfig.from_json(_config_json(tangle=tangle))
+
+
+def test_config_rejects_zero_tangle_max_subgraphs():
+    tangle = {"nu": 1.8, "r": 2, "max_subgraphs": 0}
+    with pytest.raises(ConfigError, match="caps must be positive"):
+        ExperimentConfig.from_json(_config_json(tangle=tangle))
+
+
+def test_config_rejects_unknown_magnifier_mode():
+    # used to run the sampled check silently
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        ExperimentConfig.from_json(
+            _config_json(magnifier={"gamma": 0.1, "mode": "exhaustiv"}))
+
+
+def test_config_rejects_unknown_magnifier_key():
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ExperimentConfig.from_json(
+            _config_json(magnifier={"gamma": 0.1, "trails": 5}))
+
+
+def test_config_rejects_bad_magnifier_values():
+    for magnifier in ({"gamma": 0.1, "R": 0}, {"gamma": 0.1, "trials": 0},
+                      {"gamma": "wide"}, [0.1]):
+        with pytest.raises(ConfigError):
+            small_config(magnifier=magnifier)
+
+
+def test_config_rejects_exhaustive_magnifier_past_its_cap():
+    # K4 covers of degree 5 have 20 vertices, of degree 6 have 24
+    small_config(degrees=(5,), magnifier={"gamma": 0.1, "mode": "exhaustive"})
+    with pytest.raises(ConfigError, match="capped at 20 vertices"):
+        small_config(degrees=(5, 6),
+                     magnifier={"gamma": 0.1, "mode": "exhaustive"})

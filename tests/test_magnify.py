@@ -249,3 +249,8 @@ def test_vertex_subset_fibres():
     assert sub.fibre(0) == {0, 1, 2}
     assert sub.fibre(1) == {2}
     assert sub.fibre_sizes() == [3, 1]
+
+
+def test_pseudo_magnifier_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        is_pseudo_magnifier(complete_graph(4), 1, 0.5, mode="exhaustiv")

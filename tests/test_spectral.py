@@ -356,3 +356,130 @@ def test_lanczos_step_cap_falls_back_to_dense(lanczos_dense_calls,
     vals = new_adjacency_extremes(lift, math.inf)
     assert len(lanczos_dense_calls) == 1
     assert np.array_equal(vals, new_eigenvalues(lift))
+
+
+@st.composite
+def unreduced_tridiagonals(draw):
+    """(alpha, beta) with nonzero beta; half of them are two mirrored copies
+    of one block joined by a weak coupling, so that the two highest and the
+    two lowest eigenvalues nearly coincide."""
+    k = draw(st.integers(1, 40))
+    alpha = draw(st.lists(st.floats(-3, 3), min_size=k, max_size=k))
+    beta = [m if up else -m for m, up in draw(st.lists(
+        st.tuples(st.floats(0.01, 3), st.booleans()),
+        min_size=k - 1, max_size=k - 1))]
+    if k >= 2 and draw(st.booleans()):
+        h = k // 2
+        coupling = 10.0 ** draw(st.floats(-12, -1))
+        alpha = alpha[:h] + alpha[:h][::-1]
+        beta = beta[:h - 1] + [coupling] + beta[:h - 1][::-1]
+    return alpha, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_tridiagonals())
+def test_ritz_last_component_matches_eigh(tri):
+    alpha, beta = tri
+    k = len(alpha)
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    theta, s = np.linalg.eigh(t)
+    scale = 1 + np.abs(theta).max()
+    for idx, near in ((0, 1), (k - 1, k - 2)):
+        got = spectral.ritz_last_component(alpha, beta, float(theta[idx]))
+        gap = abs(theta[idx] - theta[near]) if k > 1 else math.inf
+        resolved = gap >= 1e-8 * scale
+        if math.isnan(got):
+            assert not resolved
+            continue  # the eigenvector is not determined to working precision
+        assert 0 <= got <= 1 + 1e-12
+        if resolved:
+            # the eigenvector's error is about eps * |T| / gap
+            assert abs(got - abs(s[-1, idx])) <= 1e-13 * scale / gap + 1e-14
+        if k > 1:
+            # whatever the split of a near-coincident pair, the vector
+            # lies in its two-dimensional eigenspace
+            assert got ** 2 <= s[-1, idx] ** 2 + s[-1, near] ** 2 + 1e-12
+
+
+def test_ritz_last_component_on_nan_and_overflow():
+    # nan entries and a zero pivot give nan, and nan never passes a
+    # "beta * |s_k| <= tol" test
+    assert math.isnan(spectral.ritz_last_component([0.0, 1.0], [1.0],
+                                                   math.nan))
+    assert math.isnan(spectral.ritz_last_component([math.nan, 0.0, 1.0],
+                                                   [1.0, 1.0], 2.0))
+    assert math.isnan(spectral.ritz_last_component([1.0, 0.0, 0.0],
+                                                   [1.0, 1.0], 1.0))
+    assert not 1.0 * math.nan <= 1e-10
+    # components decaying by 1e-4 per row over 400 rows: the product of
+    # the ratios from the last row (1e1600) overflows, the shares do not
+    k = 400
+    for alpha in ([10.0] + [0.0] * (k - 1), [0.0] * (k - 1) + [10.0]):
+        beta = [1e-3] * (k - 1)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                  + np.diag(beta, -1))
+        got = spectral.ritz_last_component(alpha, beta, float(theta[-1]))
+        assert abs(got - abs(s[-1, -1])) <= 1e-14
+    assert spectral.ritz_last_component(alpha[::-1], beta,
+                                        float(theta[-1])) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lanczos_never_returns_an_unconverged_bound(bad, lanczos_dense_calls,
+                                                    monkeypatch):
+    # small covers end at an invariant subspace within a few steps, and
+    # large ones at the step cap: neither may return without the test
+    monkeypatch.setattr(spectral, "ritz_last_component", lambda *args: bad)
+    for base, spec, n in FIBRE_CASES:
+        lift = sample_lift(base, n, spec, seed=31 + n)
+        if base.n * (n - 1):
+            assert lanczos_new_extremes(lift) is None
+    lift = sample_lift(complete_graph(5), 30, ModelSpec(), seed=3)
+    vals = new_adjacency_extremes(lift, math.inf)
+    assert len(lanczos_dense_calls) == 1
+    assert np.array_equal(vals, new_eigenvalues(lift))
+
+
+def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
+                                                     monkeypatch):
+    base = bouquet(2)
+    tol = _extremes_tol(base)
+    worst_loss = 0.0
+    for seed in range(8):
+        lift = sample_lift(base, 100, ModelSpec(), seed=seed)
+        dense = new_eigenvalues(lift)
+        head = np.asarray(lift.cover.head)
+        vectors = []
+        real_bincount = np.bincount
+
+        def recording(x, weights=None, minlength=0):
+            # A q is bincount(tail, q[head]): read each Lanczos vector back
+            q = np.zeros(minlength)
+            q[head] = weights
+            vectors.append(q)
+            return real_bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", recording)
+        vals = new_adjacency_extremes(lift, math.inf)
+        monkeypatch.setattr(np, "bincount", real_bincount)
+        basis = np.array(vectors)
+        loss = np.abs(basis @ basis.T - np.eye(len(basis))).max()
+        worst_loss = max(worst_loss, loss)
+        assert abs(vals[0] - dense[0]) <= tol
+        assert abs(vals[-1] - dense[-1]) <= tol
+    assert not lanczos_dense_calls
+    assert worst_loss > 0.1
+
+
+def test_lanczos_memory_is_linear_in_cover_size():
+    import tracemalloc
+    # K5 cover of 10^4 vertices; a (500, N) basis alone would be 40 MB
+    lift = sample_lift(complete_graph(5), 2000, ModelSpec(), seed=1)
+    tracemalloc.start()
+    try:
+        vals = lanczos_new_extremes(lift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals is not None and len(vals) == 2
+    assert peak < 8e6
