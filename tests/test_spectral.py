@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ def test_ritz_last_component_matches_eigh(tri):
 
 
 def test_ritz_last_component_on_nan_and_overflow():
-    # nan entries and a zero pivot give nan, and nan never passes a
+    # nan entries and a zero pivot give nan, which fails every
     # "beta * |s_k| <= tol" test
     assert math.isnan(spectral.ritz_last_component([0.0, 1.0], [1.0],
                                                    math.nan))
@@ -410,18 +411,18 @@ def test_ritz_last_component_on_nan_and_overflow():
                                                    [1.0, 1.0], 2.0))
     assert math.isnan(spectral.ritz_last_component([1.0, 0.0, 0.0],
                                                    [1.0, 1.0], 1.0))
-    assert not 1.0 * math.nan <= 1e-10
-    # components decaying by 1e-4 per row over 400 rows: the product of
-    # the ratios from the last row (1e1600) overflows, the shares do not
-    k = 400
-    for alpha in ([10.0] + [0.0] * (k - 1), [0.0] * (k - 1) + [10.0]):
-        beta = [1e-3] * (k - 1)
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
-                                  + np.diag(beta, -1))
-        got = spectral.ritz_last_component(alpha, beta, float(theta[-1]))
-        assert abs(got - abs(s[-1, -1])) <= 1e-14
-    assert spectral.ritz_last_component(alpha[::-1], beta,
-                                        float(theta[-1])) == 0.0
+    # one row of 10 among zeros, joined by 1e-3: s decays by about 1e-4 per
+    # row away from it, so |s_k| is about 1e-1600 with that row at the top
+    # and about 1 with it at the bottom; ratios carried towards the peak
+    # would overflow
+    beta = [1e-3] * 399
+    peak_top = [10.0] + [0.0] * 399
+    t = np.diag(peak_top) + np.diag(beta, 1) + np.diag(beta, -1)
+    top = float(np.linalg.eigvalsh(t)[-1])
+    assert spectral.ritz_last_component(peak_top, beta, top) == 0.0
+    _, s = np.linalg.eigh(t[::-1, ::-1])
+    got = spectral.ritz_last_component(peak_top[::-1], beta, top)
+    assert abs(got - abs(s[-1, -1])) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -445,12 +446,12 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
     base = bouquet(2)
     tol = _extremes_tol(base)
     worst_loss = 0.0
+    real_bincount = np.bincount
     for seed in range(8):
         lift = sample_lift(base, 100, ModelSpec(), seed=seed)
         dense = new_eigenvalues(lift)
         head = np.asarray(lift.cover.head)
         vectors = []
-        real_bincount = np.bincount
 
         def recording(x, weights=None, minlength=0):
             # A q is bincount(tail, q[head]): read each Lanczos vector back
@@ -472,7 +473,6 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
 
 
 def test_lanczos_memory_is_linear_in_cover_size():
-    import tracemalloc
     # K5 cover of 10^4 vertices; a (500, N) basis alone would be 40 MB
     lift = sample_lift(complete_graph(5), 2000, ModelSpec(), seed=1)
     tracemalloc.start()
