@@ -45,10 +45,19 @@ class ConfigError(ValueError):
 MAGNIFIER_KEYS = ("R", "gamma", "mode", "trials")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; 8.0 loads, but a fraction or a boolean is refused
+    instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _magnifier_args(m: dict):
     """(R, gamma, mode, trials) of a magnifier block, defaults filled in."""
-    return (int(m.get("R", 1)), float(m["gamma"]), m.get("mode", "auto"),
-            int(m.get("trials", 100)))
+    return (_integer(m.get("R", 1), "R"), float(m["gamma"]),
+            m.get("mode", "auto"), _integer(m.get("trials", 100), "trials"))
 
 
 @dataclass(frozen=True)
@@ -138,17 +147,19 @@ class ExperimentConfig:
             max_v, max_s = 6, 4000
             if tangle_cfg is not None:
                 tangle = TangleQuery(nu=float(tangle_cfg["nu"]),
-                                     r=int(tangle_cfg["r"]),
+                                     r=_integer(tangle_cfg["r"], "tangle r"),
                                      strict=bool(tangle_cfg.get("strict", False)))
-                max_v = int(tangle_cfg.get("max_vertices", 6))
-                max_s = int(tangle_cfg.get("max_subgraphs", 4000))
+                max_v = _integer(tangle_cfg.get("max_vertices", 6),
+                                 "tangle max_vertices")
+                max_s = _integer(tangle_cfg.get("max_subgraphs", 4000),
+                                 "tangle max_subgraphs")
             return cls(
                 base=base,
                 model=model,
-                degrees=tuple(int(n) for n in data["degrees"]),
-                trials=int(data["trials"]),
+                degrees=tuple(_integer(n, "degrees") for n in data["degrees"]),
+                trials=_integer(data["trials"], "trials"),
                 epsilon=float(data["epsilon"]),
-                seed=int(data.get("seed", 0)),
+                seed=_integer(data.get("seed", 0), "seed"),
                 tangle=tangle,
                 tangle_max_vertices=max_v,
                 tangle_max_subgraphs=max_s,

@@ -136,13 +136,18 @@ class PermutationAssignment:
             raise ValueError("sigma has wrong shape")
         object.__setattr__(self, "sigma", sig)
         ident = np.arange(self.degree)
-        for e in range(self.base.num_directed):
-            row = sig[e]
-            if sorted(row.tolist()) != list(range(self.degree)):
+        not_perm = (np.sort(sig, axis=1) != ident).any(axis=1)
+        # sigma[inv e][sigma[e][i]] == i; a row that is no permutation fails
+        # the check above first, so clipping its entries changes no error
+        inv = np.asarray(self.base.inv, dtype=np.int64)
+        back = sig[inv[:, None], sig.clip(0, self.degree - 1)]
+        bad = not_perm | (back != ident).any(axis=1)
+        if bad.any():
+            e = int(np.argmax(bad))  # the lowest bad edge
+            if not_perm[e]:
                 raise ValueError(f"sigma[{e}] is not a permutation")
-            if not np.array_equal(sig[self.base.inv[e]][row], ident):
-                raise ValueError(
-                    f"sigma on edge {e} and its partner are not inverse")
+            raise ValueError(
+                f"sigma on edge {e} and its partner are not inverse")
         sig.flags.writeable = False
 
     @classmethod

@@ -10,8 +10,10 @@ Trials only need the extreme new adjacency eigenvalues.  For covers of at
 least LANCZOS_MIN_VERTICES vertices these come from matrix-free Lanczos on
 the sum-zero subspace: the plain three-term recurrence, O(N) memory, with a
 residual test on every returned value and the dense solve as fallback
-whenever an extreme reaches the threshold or the test never passes.
-Smaller covers, and every full spectrum, take the dense solve.
+whenever an extreme reaches the threshold or the test never passes.  Its
+convergence checks take the extremes of the k x k tridiagonal by Laguerre's
+iteration in O(k) per pass, with no eigensolve.  Smaller covers, and every
+full spectrum, take the dense solve.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,8 @@ LANCZOS_MIN_VERTICES = 400
 LANCZOS_MAX_STEPS = 500
 LANCZOS_CHECK_EVERY = 20
 LANCZOS_TOL = 1e-10
+LAGUERRE_MAX_PASSES = 64
+_EPS = float(np.finfo(float).eps)
 
 
 class SpectralError(RuntimeError):
@@ -278,6 +282,67 @@ def ritz_last_component(alpha, beta, theta: float) -> float:
     return last if ok and math.isfinite(last) else math.nan
 
 
+def tridiagonal_lowest(alpha, beta, start: float = math.nan) -> float:
+    """Lowest eigenvalue of the k x k tridiagonal T (diagonal alpha,
+    off-diagonal beta), in O(k) per pass and with no eigensolve.
+
+    Laguerre's iteration (Li and Zeng, SIAM J. Sci. Comput. 1994) on the
+    pivots d_i of T - xI: with a_i = d_i'/d_i and c_i = d_i''/d_i,
+    S1 = sum a_i and S2 = sum a_i^2 - c_i are the first two power sums of
+    1/(x - lambda_j).  From x below every eigenvalue the Laguerre step climbs
+    monotonically to the lowest one and cannot pass it, so every pass first
+    requires all pivots to be positive (Sturm count 0): an iterate is
+    certified to lie below the extreme, not merely near some eigenvalue.
+    The discriminant gets its rounding floor added, so that a cluster of
+    every eigenvalue (k = 2) cannot push a step past the lowest; a later
+    pass that finds a non-positive pivot has crossed it by rounding only
+    and is returned.  start is a guess below the extreme (the previous
+    Lanczos check's value minus its residual bound); when its first pass
+    finds a non-positive pivot, the iteration restarts below the
+    Gershgorin bound.  Returns nan for non-finite entries or after
+    LAGUERRE_MAX_PASSES passes, so that it never reads as converged.
+    """
+    k = len(alpha)
+    if not math.isfinite(sum(alpha) + sum(beta)):
+        return math.nan
+    if k == 1:
+        return float(alpha[0])
+    radius = [0.0] * k
+    for i, b in enumerate(beta):
+        radius[i] += abs(b)
+        radius[i + 1] += abs(b)
+    scale = max(abs(a) + r for a, r in zip(alpha, radius))
+    cold = min(a - r for a, r in zip(alpha, radius)) - 1e-3 * scale
+    x = start if start > cold else cold
+    climbed = False
+    for _ in range(LAGUERRE_MAX_PASSES):
+        s1 = s2 = a = c = t = 0.0
+        d = 1.0
+        for i in range(k):
+            if i:
+                t = beta[i - 1] * (beta[i - 1] / d)
+            d = alpha[i] - x - t
+            if not d > 0:
+                break
+            a, c = (t * a - 1.0) / d, t * (c - 2.0 * a * a) / d
+            s1 += a
+            s2 += a * a - c
+        else:
+            spread = max(k * s2 - s1 * s1, 0.0) + _EPS * k * (k * s2 + s1 * s1)
+            step = k / (math.sqrt((k - 1) * spread) - s1)
+            x += step
+            climbed = True
+            if not step > _EPS * scale:
+                return x
+            continue
+        if climbed:
+            return x
+        if x == cold:
+            return math.nan
+        x = cold
+    return math.nan
+
+
 def lanczos_new_extremes(lift: Lift):
     """Lowest and highest new adjacency eigenvalues, matrix-free.
 
@@ -291,8 +356,10 @@ def lanczos_new_extremes(lift: Lift):
     beta * |s_k| <= tol lies within tol + O(k eps |A|) of an eigenvalue.
 
     Every LANCZOS_CHECK_EVERY steps, and when beta <= LANCZOS_TOL (an
-    invariant subspace), the tridiagonal's eigenvalues are taken by eigvalsh
-    and |s_k| of the lowest and highest by ritz_last_component.  Returns
+    invariant subspace), the lowest and highest eigenvalues of the
+    tridiagonal T come from tridiagonal_lowest (of T and of -T), each
+    started from the previous check's value minus 1.001 times its residual
+    bound, and |s_k| of each from ritz_last_component.  Returns
     [theta_min, theta_max] (every Ritz value when there are fewer than two)
     only once both residual bounds are <= LANCZOS_TOL; a nan bound never
     passes.  Returns None at an invariant subspace that fails the test or
@@ -311,6 +378,7 @@ def lanczos_new_extremes(lift: Lift):
     q = sum_zero(np.random.default_rng(0).standard_normal(size))
     q /= np.linalg.norm(q)
     alpha, beta = [], []
+    low_start = high_start = math.nan  # for -T, whose lowest is -theta_max
     for k in range(LANCZOS_MAX_STEPS):
         w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
         alpha.append(float(q @ w))
@@ -321,15 +389,18 @@ def lanczos_new_extremes(lift: Lift):
         invariant = b <= LANCZOS_TOL
         if (invariant or (k + 1) % LANCZOS_CHECK_EVERY == 0
                 or k + 1 == LANCZOS_MAX_STEPS):
-            t = np.diag(alpha)  # and beta above and below the diagonal
-            t.flat[1::k + 2] = t.flat[k + 1::k + 2] = beta
-            theta = np.linalg.eigvalsh(t)
-            pick = theta[[0, -1]] if k else theta
-            if all(b * ritz_last_component(alpha, beta, float(x))
-                   <= LANCZOS_TOL for x in pick):
-                return pick
+            low = tridiagonal_lowest(alpha, beta, low_start)
+            high = -tridiagonal_lowest([-a for a in alpha], beta, high_start)
+            pick = [low, high] if k else [low]
+            bounds = [b * ritz_last_component(alpha, beta, x) for x in pick]
+            if all(r <= LANCZOS_TOL for r in bounds):
+                return np.array(pick)
             if invariant:
                 return None
+            # T_j has an eigenvalue within bound of each value, and no
+            # larger T_j has a lower lowest one (interlacing)
+            low_start = low - 1.001 * bounds[0]
+            high_start = -high - 1.001 * bounds[-1]
         beta.append(b)
         prev, q = q, w / b
     return None

@@ -166,3 +166,17 @@ def reference_count_snbc_dfs(g, kmax, budget=10_000_000_000):
                 for f in succ[e]:
                     push((f, depth))
     return counts[1:]
+
+
+def reference_assignment_error(base, degree, sigma):
+    """The message PermutationAssignment raises for sigma, or None; the
+    per-edge loop it replaced, kept as a test-only reference."""
+    import numpy as np
+    ident = np.arange(degree)
+    for e in range(base.num_directed):
+        row = sigma[e]
+        if sorted(row.tolist()) != list(range(degree)):
+            return f"sigma[{e}] is not a permutation"
+        if not np.array_equal(sigma[base.inv[e]][row], ident):
+            return f"sigma on edge {e} and its partner are not inverse"
+    return None

@@ -124,3 +124,11 @@ def test_experiment_magnifier_without_gamma_exits_3(tmp_path, k4_path):
         "base": k4_path, "degrees": [2], "trials": 1, "epsilon": 0.2,
         "magnifier": {"R": 2}}))
     assert main(["experiment", "--config", str(cfg_path)]) == 3
+
+
+def test_experiment_fractional_trials_exits_3(tmp_path, k4_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": k4_path, "degrees": [2], "trials": 3.9, "epsilon": 0.2}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "trials must be an integer" in capsys.readouterr().err

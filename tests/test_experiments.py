@@ -396,3 +396,73 @@ def test_config_rejects_exhaustive_magnifier_past_its_cap():
     with pytest.raises(ConfigError, match="capped at 20 vertices"):
         small_config(degrees=(5, 6),
                      magnifier={"gamma": 0.1, "mode": "exhaustive"})
+
+
+def _refused(match, **overrides):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_json(_config_json(**overrides))
+
+
+# fractional integers used to be truncated (8.7 ran as degree 8)
+
+def test_config_rejects_fractional_degree():
+    _refused(r"degrees must be an integer, got 8\.7", degrees=[2, 8.7])
+
+
+def test_config_rejects_boolean_degree():
+    _refused("degrees must be an integer, got True", degrees=[True, 3])
+
+
+def test_config_rejects_fractional_trials():
+    _refused(r"trials must be an integer, got 3\.9", trials=3.9)
+
+
+def test_config_rejects_fractional_seed():
+    _refused(r"seed must be an integer, got 7\.5", seed=7.5)
+
+
+def test_config_rejects_fractional_tangle_r():
+    _refused(r"tangle r must be an integer, got 2\.9",
+             tangle={"nu": 1.8, "r": 2.9})
+
+
+def test_config_rejects_fractional_tangle_max_vertices():
+    _refused(r"tangle max_vertices must be an integer, got 6\.5",
+             tangle={"nu": 1.8, "r": 2, "max_vertices": 6.5})
+
+
+def test_config_rejects_fractional_tangle_max_subgraphs():
+    _refused("tangle max_subgraphs must be an integer, got nan",
+             tangle={"nu": 1.8, "r": 2, "max_subgraphs": math.nan})
+
+
+def test_config_rejects_fractional_magnifier_R():
+    _refused(r"magnifier: R must be an integer, got 2\.7",
+             magnifier={"gamma": 0.1, "R": 2.7})
+
+
+def test_config_rejects_fractional_magnifier_trials():
+    _refused(r"magnifier: trials must be an integer, got 9\.9",
+             magnifier={"gamma": 0.1, "trials": 9.9})
+
+
+def test_config_rejects_boolean_magnifier_R():
+    _refused("magnifier: R must be an integer, got True",
+             magnifier={"gamma": 0.1, "R": True})
+
+
+def test_config_loads_integral_floats():
+    tangle = {"nu": 1.8, "r": 2, "max_vertices": 5, "max_subgraphs": 300}
+    magnifier = {"gamma": 0.1, "R": 2, "trials": 9}
+    ints = ExperimentConfig.from_json(_config_json(tangle=tangle,
+                                                   magnifier=magnifier))
+    floats = ExperimentConfig.from_json(_config_json(
+        degrees=[2.0, 3.0], trials=2.0, seed=7.0,
+        tangle={k: float(v) for k, v in tangle.items()},
+        magnifier={k: float(v) for k, v in magnifier.items()}))
+    assert floats.degrees == ints.degrees == (2, 3)
+    assert (floats.trials, floats.seed) == (ints.trials, ints.seed)
+    assert floats.tangle == ints.tangle
+    assert (floats.tangle_max_vertices, floats.tangle_max_subgraphs) == (5, 300)
+    from nblifts.experiments import _magnifier_args
+    assert _magnifier_args(floats.magnifier) == _magnifier_args(magnifier)

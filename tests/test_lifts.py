@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
     bouquet, complete_graph, cycle_graph, dipole, from_pairs, girth,
@@ -156,6 +157,37 @@ def test_assignment_rejects_non_inverse():
     sig = np.array([[1, 2, 0], [1, 2, 0]])
     with pytest.raises(ValueError):
         PermutationAssignment(b, 3, sig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.sampled_from(["none", "swap", "copy", "range", "partner"]))
+def test_assignment_errors_match_loop_reference(seed, degree, damage):
+    from helpers import random_connected_multigraph, reference_assignment_error
+    rng = np.random.default_rng(seed)
+    base = random_connected_multigraph(rng, max_vertices=5, max_extra=5,
+                                       half_loop_prob=0.5)
+    spec = ModelSpec(half_loop="matching" if degree % 2 == 0
+                     else "near_matching")
+    sig = sample_assignment(base, degree, spec, seed).sigma.copy()
+    for _ in range(int(rng.integers(1, 3)) if base.num_directed else 0):
+        e = int(rng.integers(base.num_directed))
+        i, j = rng.integers(degree, size=2)
+        if damage == "swap":        # still a permutation, maybe not inverse
+            sig[e, [i, j]] = sig[e, [j, i]]
+        elif damage == "copy":      # a repeated entry
+            sig[e, i] = sig[e, j]
+        elif damage == "range":     # out of range, either side
+            sig[e, i] = rng.choice([-1, degree, degree + 3])
+        elif damage == "partner":   # both rows of an orbit changed alike
+            sig[[e, base.inv[e]], i] = sig[[e, base.inv[e]], j]
+    expected = reference_assignment_error(base, degree, sig)
+    if expected is None:
+        PermutationAssignment(base, degree, sig)
+    else:
+        with pytest.raises(ValueError) as err:
+            PermutationAssignment(base, degree, sig)
+        assert str(err.value) == expected
 
 
 def test_sampled_lifts_are_coverings_with_matching_degrees():

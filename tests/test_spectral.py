@@ -472,6 +472,95 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
     assert worst_loss > 0.1
 
 
+def _tridiagonal(alpha, beta):
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+def _lowest_and_highest(alpha, beta, low_start=math.nan,
+                        high_start=math.nan):
+    low = spectral.tridiagonal_lowest(alpha, beta, low_start)
+    high = -spectral.tridiagonal_lowest([-a for a in alpha], beta, high_start)
+    return low, high
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_tridiagonals())
+def test_tridiagonal_lowest_matches_eigvalsh(tri):
+    alpha, beta = tri
+    theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
+    tol = 1e-14 * (1 + np.abs(theta).max())
+    low, high = _lowest_and_highest(alpha, beta)
+    assert abs(low - theta[0]) <= tol
+    assert abs(high - theta[-1]) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(unreduced_tridiagonals(), st.sampled_from(
+    ["nan", "inf", "top", "second", "inside", "at", "below"]))
+def test_tridiagonal_lowest_survives_a_wrong_start(tri, where):
+    # a start above the extreme fails its first Sturm count and restarts
+    # from the Gershgorin bound; one below it is climbed from
+    alpha, beta = tri
+    theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
+    tol = 1e-14 * (1 + np.abs(theta).max())
+    gap = theta[1] - theta[0] if len(theta) > 1 else 1.0
+    start = {"nan": math.nan, "inf": math.inf, "top": theta[-1] + 1.0,
+             "second": theta[min(1, len(theta) - 1)],
+             "inside": theta[0] + gap / 2, "at": theta[0],
+             "below": theta[0] - 1e-3}[where]
+    got = spectral.tridiagonal_lowest(alpha, beta, float(start))
+    assert abs(got - theta[0]) <= tol
+
+
+@pytest.mark.parametrize("coupling", [1e-12, 1e-11, 1e-10, 1e-9, 1e-7])
+@pytest.mark.parametrize("diagonal", [-2.7, -0.3, 0.0, 1.9])
+def test_tridiagonal_lowest_on_a_tight_pair(diagonal, coupling):
+    # every eigenvalue in one cluster: without its rounding floor the
+    # discriminant cancels and a step lands between the two eigenvalues
+    alpha, beta = [diagonal, diagonal], [coupling]
+    low, high = _lowest_and_highest(alpha, beta)
+    tol = 1e-14 * (1 + abs(diagonal))
+    assert abs(low - (diagonal - coupling)) <= tol
+    assert abs(high - (diagonal + coupling)) <= tol
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ([math.nan, 0.0, 1.0], [1.0, 1.0]),
+    ([0.0, 1.0, math.inf], [1.0, 1.0]),
+    ([0.0, 1.0, 2.0], [1.0, -math.inf]),
+    ([0.0, 1.0, 2.0], [math.nan, 1.0]),
+    ([math.inf], []),
+])
+def test_tridiagonal_lowest_on_nan_and_inf(alpha, beta):
+    assert math.isnan(spectral.tridiagonal_lowest(alpha, beta))
+    assert math.isnan(spectral.tridiagonal_lowest(alpha, beta, 0.0))
+
+
+def test_tridiagonal_lowest_pass_cap_gives_nan(monkeypatch):
+    alpha, beta = [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0]
+    monkeypatch.setattr(spectral, "LAGUERRE_MAX_PASSES", 1)
+    assert math.isnan(spectral.tridiagonal_lowest(alpha, beta))
+
+
+@pytest.mark.parametrize("base,spec,n", FIBRE_CASES)
+def test_lanczos_extremes_need_no_eigensolver(base, spec, n, monkeypatch):
+    lift = sample_lift(base, n, spec, seed=31 + n)
+    dense = new_eigenvalues(lift)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    vals = lanczos_new_extremes(lift)
+    if not len(dense):
+        assert len(vals) == 0
+        return
+    tol = _extremes_tol(base)
+    assert abs(vals[0] - dense[0]) <= tol
+    assert abs(vals[-1] - dense[-1]) <= tol
+
+
 def test_lanczos_memory_is_linear_in_cover_size():
     # K5 cover of 10^4 vertices; a (500, N) basis alone would be 40 MB
     lift = sample_lift(complete_graph(5), 2000, ModelSpec(), seed=1)
