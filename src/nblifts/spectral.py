@@ -28,9 +28,11 @@ DENSE_HASHIMOTO_CAP = 4000
 # Covers with at least this many vertices get their extreme new adjacency
 # eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms of
 # new_eigenvalues / lanczos_new_extremes over lifts of K5, K4, bouquet(2)
-# and Petersen (3 seeds each, 2-core Xeon): N=200 3.0/6.3, 300 6.9/6.9,
-# 400 12.5/8.8, 500 20.1/10.1, 800 52.2/16.0, 2000 539/27.3.  Lanczos
-# needs 120 to 300 steps up to 2000 vertices.
+# and Petersen (3 seeds each, 2-core Xeon, numpy 2.4.6): N=200 2.5/3.6,
+# 300 6.9/5.2, 400 12.1/7.3, 500 19.0/6.7, 800 54.5/11.7, 1000 91.7/14.5,
+# 2000 566/22.0.  Lanczos needs 120 to 300 steps up to 2000 vertices.  The
+# crossover is near 250; 400 keeps the 320-vertex covers of the README
+# sweep on the dense path.
 LANCZOS_MIN_VERTICES = 400
 LANCZOS_MAX_STEPS = 500
 LANCZOS_CHECK_EVERY = 20
@@ -378,7 +380,7 @@ def lanczos_new_extremes(lift: Lift):
     q = sum_zero(np.random.default_rng(0).standard_normal(size))
     q /= np.linalg.norm(q)
     alpha, beta = [], []
-    low_start = high_start = math.nan  # for -T, whose lowest is -theta_max
+    low_start = high_start = math.nan  # high_start is a start for -T
     for k in range(LANCZOS_MAX_STEPS):
         w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
         alpha.append(float(q @ w))
@@ -397,8 +399,8 @@ def lanczos_new_extremes(lift: Lift):
                 return np.array(pick)
             if invariant:
                 return None
-            # T_j has an eigenvalue within bound of each value, and no
-            # larger T_j has a lower lowest one (interlacing)
+            # every later T has an eigenvalue within bound of each value,
+            # and by interlacing none has a higher lowest (or lower highest)
             low_start = low - 1.001 * bounds[0]
             high_start = -high - 1.001 * bounds[-1]
         beta.append(b)
