@@ -463,6 +463,7 @@ def test_config_loads_integral_floats():
     assert floats.degrees == ints.degrees == (2, 3)
     assert (floats.trials, floats.seed) == (ints.trials, ints.seed)
     assert floats.tangle == ints.tangle
-    assert (floats.tangle_max_vertices, floats.tangle_max_subgraphs) == (5, 300)
+    assert floats.tangle_max_vertices == 5
+    assert floats.tangle_max_subgraphs == 300
     from nblifts.experiments import _magnifier_args
     assert _magnifier_args(floats.magnifier) == _magnifier_args(magnifier)
