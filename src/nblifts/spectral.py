@@ -39,7 +39,8 @@ LANCZOS_CHECK_EVERY = 20
 LANCZOS_TOL = 1e-10
 # Laguerre passes per extreme from a cold start, over 40,000 random
 # tridiagonals of size up to 40: median 6, or 24 where the two extremes
-# nearly coincide, and at most 34.  Warm-started Lanczos checks take 3.
+# nearly coincide, and at most 34.  Warm-started Lanczos checks take a
+# median of 3.
 LAGUERRE_MAX_PASSES = 64
 _EPS = float(np.finfo(float).eps)
 
