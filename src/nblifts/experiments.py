@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import csv
 import json
 import math
+import numbers
 import platform
 import sys
 
@@ -46,17 +47,24 @@ MAGNIFIER_KEYS = ("R", "gamma", "mode", "trials")
 
 
 def _integer(value, name: str) -> int:
-    """value as an int; 8.0 loads, but a fraction or a boolean is refused
-    instead of being truncated."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """value as an int; 8.0 loads, but a fraction, a boolean or a string is
+    refused instead of being truncated or parsed."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float; a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _magnifier_args(m: dict):
     """(R, gamma, mode, trials) of a magnifier block, defaults filled in."""
-    return (_integer(m.get("R", 1), "R"), float(m["gamma"]),
+    return (_integer(m.get("R", 1), "R"), _real(m["gamma"], "gamma"),
             m.get("mode", "auto"), _integer(m.get("trials", 100), "trials"))
 
 
@@ -146,9 +154,13 @@ class ExperimentConfig:
             tangle = None
             max_v, max_s = 6, 4000
             if tangle_cfg is not None:
-                tangle = TangleQuery(nu=float(tangle_cfg["nu"]),
+                strict = tangle_cfg.get("strict", False)
+                if not isinstance(strict, bool):
+                    raise ConfigError(
+                        f"tangle strict must be true or false, got {strict!r}")
+                tangle = TangleQuery(nu=_real(tangle_cfg["nu"], "tangle nu"),
                                      r=_integer(tangle_cfg["r"], "tangle r"),
-                                     strict=bool(tangle_cfg.get("strict", False)))
+                                     strict=strict)
                 max_v = _integer(tangle_cfg.get("max_vertices", 6),
                                  "tangle max_vertices")
                 max_s = _integer(tangle_cfg.get("max_subgraphs", 4000),
@@ -158,7 +170,7 @@ class ExperimentConfig:
                 model=model,
                 degrees=tuple(_integer(n, "degrees") for n in data["degrees"]),
                 trials=_integer(data["trials"], "trials"),
-                epsilon=float(data["epsilon"]),
+                epsilon=_real(data["epsilon"], "epsilon"),
                 seed=_integer(data.get("seed", 0), "seed"),
                 tangle=tangle,
                 tangle_max_vertices=max_v,

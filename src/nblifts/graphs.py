@@ -54,6 +54,17 @@ class Graph:
             out[tail[e]].append(e)
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
 
+    @classmethod
+    def _trusted(cls, n: int, tail: tuple, head: tuple, inv: tuple,
+                 out: tuple) -> "Graph":
+        """A graph from tuples its caller has already proved valid, with
+        out-edge tuples in the ascending order __init__ produces; nothing
+        is checked."""
+        g = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (n, tail, head, inv, out)):
+            object.__setattr__(g, name, value)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -380,6 +391,18 @@ class GraphMorphism:
     def identity(cls, g: Graph):
         return cls(g, g, tuple(range(g.n)), tuple(range(g.num_directed)))
 
+    @classmethod
+    def _trusted(cls, source: Graph, target: Graph, vertex_map: tuple,
+                 edge_map: tuple) -> "GraphMorphism":
+        """A morphism its caller has already proved to intertwine; the
+        check in __post_init__ is skipped."""
+        m = object.__new__(cls)
+        for name, value in (("source", source), ("target", target),
+                            ("vertex_map", vertex_map),
+                            ("edge_map", edge_map)):
+            object.__setattr__(m, name, value)
+        return m
+
 
 def _fibre_maps(m: GraphMorphism, use_head: bool):
     g, h = m.source, m.target
@@ -499,6 +522,12 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _json_int(value) -> bool:
+    """A JSON integer; true and false are not integers here, although
+    Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(data) -> Graph:
     """Parse and fully validate the interchange format.
 
@@ -509,7 +538,7 @@ def graph_from_json(data) -> Graph:
     if "vertices" not in data or "edges" not in data:
         raise GraphFormatError("missing required keys 'vertices' and 'edges'")
     n = data["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if not _json_int(n) or n < 0:
         raise GraphFormatError("'vertices' must be a non-negative integer")
     edges = data["edges"]
     if not isinstance(edges, list):
@@ -524,7 +553,7 @@ def graph_from_json(data) -> Graph:
         if not isinstance(rec, dict):
             raise GraphFormatError(f"{where}: must be an object")
         for key in ("id", "tail", "head", "inv"):
-            if key not in rec or not isinstance(rec[key], int):
+            if key not in rec or not _json_int(rec[key]):
                 raise GraphFormatError(f"{where}: missing or non-integer '{key}'")
         e = rec["id"]
         if not (0 <= e < m):

@@ -11,9 +11,16 @@ sigma(inv(e)) = sigma(e)^-1.  Sampling models:
 
 Draws are edge-independent on the lowest-id orientation, with one RNG
 stream per (seed, edge id), so sampling is reproducible and parallelizable.
+
+A lift's data is checked once, when its PermutationAssignment is made:
+every row of sigma must be a permutation and partner rows inverse.
+build_lift then forms the cover's edge arrays by broadcasting over the
+base's, and builds the cover Graph and its projection from them without
+checking either again; Graph and GraphMorphism keep their checks for every
+other caller.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,6 +157,15 @@ class PermutationAssignment:
                 f"sigma on edge {e} and its partner are not inverse")
         sig.flags.writeable = False
 
+    def __eq__(self, other):
+        if not isinstance(other, PermutationAssignment):
+            return NotImplemented
+        return (self.base == other.base and self.degree == other.degree
+                and np.array_equal(self.sigma, other.sigma))
+
+    def __hash__(self):
+        return hash((self.base, self.degree, self.sigma.tobytes()))
+
     @classmethod
     def from_dict(cls, base: Graph, degree: int, by_rep: dict):
         """Build from permutations keyed by orbit representative ids."""
@@ -197,30 +213,49 @@ class Lift:
     cover: Graph
     projection: GraphMorphism
     assignment: PermutationAssignment
+    # cover.tail and cover.head as read-only int64 arrays, for the spectral
+    # path; the same data as the cover's tuples, so not compared
+    edge_arrays: tuple = field(compare=False, repr=False)
 
 
 def build_lift(base: Graph, assignment: PermutationAssignment) -> Lift:
-    """Glue the degree-n cover: vertex (v,i) -> v*n+i, edge (e,i) -> e*n+i."""
+    """Glue the degree-n cover: vertex (v,i) -> v*n+i, edge (e,i) -> e*n+i.
+
+    The cover's tail, head and inv are formed by broadcasting over the
+    base's arrays, and the cover and its projection are built without a
+    second check: the assignment's check already proves them valid.
+    """
     if assignment.base != base:
         raise ValueError("assignment was built for a different base graph")
     n = assignment.degree
     sig = assignment.sigma
     nb = base.n
     mb = base.num_directed
-    tail = np.empty(mb * n, dtype=np.int64)
-    head = np.empty(mb * n, dtype=np.int64)
-    inv = np.empty(mb * n, dtype=np.int64)
+    # The assignment's check proved every row of sigma a permutation of [n]
+    # and sigma[inv e] the inverse of sigma[e], and base is a Graph.  So
+    # (e, i) -> (inv e, sigma_e(i)) is an involution, tail(inv(e, i)) =
+    # head(e) * n + sigma_e(i) = head(e, i), every endpoint is in range, and
+    # (v, i) -> v, (e, i) -> e intertwines tail, head and inv by
+    # construction: Graph.__init__ and GraphMorphism's check would only
+    # prove this again.
     idx = np.arange(n)
-    for e in range(mb):
-        lo = e * n
-        tail[lo:lo + n] = base.tail[e] * n + idx
-        head[lo:lo + n] = base.head[e] * n + sig[e]
-        inv[lo:lo + n] = base.inv[e] * n + sig[e]
-    cover = Graph(nb * n, tail.tolist(), head.tolist(), inv.tolist())
-    vmap = tuple(v // n for v in range(nb * n))
-    emap = tuple(e // n for e in range(mb * n))
-    projection = GraphMorphism(cover, base, vmap, emap)
-    return Lift(base, cover, projection, assignment)
+    tail = (np.asarray(base.tail, dtype=np.int64)[:, None] * n + idx).ravel()
+    head = (np.asarray(base.head, dtype=np.int64)[:, None] * n + sig).ravel()
+    inv = (np.asarray(base.inv, dtype=np.int64)[:, None] * n + sig).ravel()
+    # (v, i) has out-edges (e, i) for e in base.out_edges(v), ascending in
+    # e as Graph.__init__ orders them
+    out = []
+    for v in range(nb):
+        es = np.asarray(base.out_edges(v), dtype=np.int64)
+        out.extend(map(tuple, (es * n + idx[:, None]).tolist()))
+    cover = Graph._trusted(nb * n, tuple(tail.tolist()), tuple(head.tolist()),
+                           tuple(inv.tolist()), tuple(out))
+    projection = GraphMorphism._trusted(
+        cover, base, tuple((np.arange(nb * n) // n).tolist()),
+        tuple((np.arange(mb * n) // n).tolist()))
+    tail.flags.writeable = False
+    head.flags.writeable = False
+    return Lift(base, cover, projection, assignment, (tail, head))
 
 
 def sample_lift(base: Graph, n: int, spec: ModelSpec, seed) -> Lift:

@@ -56,11 +56,15 @@ def _edge_arrays(g: Graph):
             np.asarray(g.head, dtype=np.int64))
 
 
+def _adjacency_from_arrays(size: int, edges) -> np.ndarray:
+    a = np.zeros((size, size))
+    np.add.at(a, edges, 1.0)
+    return a
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric vertex matrix; entry (u, v) counts directed edges u -> v."""
-    a = np.zeros((g.n, g.n))
-    np.add.at(a, _edge_arrays(g), 1.0)
-    return a
+    return _adjacency_from_arrays(g.n, _edge_arrays(g))
 
 
 def hashimoto_matrix(g: Graph) -> np.ndarray:
@@ -225,7 +229,8 @@ def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
     """
     n = lift.assignment.degree
     if which == "adjacency":
-        blocks, m = lift.base.n, adjacency_matrix(lift.cover)
+        blocks = lift.base.n
+        m = _adjacency_from_arrays(lift.cover.n, lift.edge_arrays)
     elif which == "hashimoto":
         blocks, m = lift.base.num_directed, _dense_hashimoto(lift.cover)
     else:
@@ -373,11 +378,10 @@ def lanczos_new_extremes(lift: Lift):
     passes.  Returns None at an invariant subspace that fails the test or
     after LANCZOS_MAX_STEPS steps.
     """
-    cover, n = lift.cover, lift.assignment.degree
-    size = cover.n
+    n, size = lift.assignment.degree, lift.cover.n
     if lift.base.n * (n - 1) == 0:
         return np.zeros(0)
-    tail, head = _edge_arrays(cover)
+    tail, head = lift.edge_arrays
 
     def sum_zero(x):
         x = x.reshape(-1, n)

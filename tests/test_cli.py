@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nblifts
 from nblifts.cli import main
 from nblifts.graphs import bouquet, complete_graph, save_graph
 
@@ -132,3 +136,44 @@ def test_experiment_fractional_trials_exits_3(tmp_path, k4_path, capsys):
         "base": k4_path, "degrees": [2], "trials": 3.9, "epsilon": 0.2}))
     assert main(["experiment", "--config", str(cfg_path)]) == 3
     assert "trials must be an integer" in capsys.readouterr().err
+
+
+def test_experiment_string_strict_exits_3(tmp_path, k4_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": k4_path, "degrees": [2], "trials": 1, "epsilon": 0.2,
+        "tangle": {"nu": 1.8, "r": 2, "strict": "false"}}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "strict must be true or false" in capsys.readouterr().err
+
+
+def test_experiment_bytes_equal_across_processes(tmp_path, k4_path):
+    # the report must not depend on string hashing or anything else that
+    # varies between interpreter runs
+    cfg = {
+        "base": k4_path,
+        "degrees": [6, 10, 20],
+        "trials": 3,
+        "epsilon": 0.2,
+        "seed": 9,
+        "tangle": {"nu": 1.8, "r": 3, "max_vertices": 5,
+                   "max_subgraphs": 300},
+        "magnifier": {"gamma": 0.1, "R": 2, "mode": "sampled",
+                      "trials": 20},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(nblifts.__file__))
+    outputs = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        prefix = str(tmp_path / f"report{hashseed}")
+        subprocess.run(
+            [sys.executable, "-m", "nblifts.cli", "experiment",
+             "--config", str(cfg_path), "--out", prefix, "--conditioned"],
+            env=env, check=True, capture_output=True)
+        outputs.append([open(prefix + ext, "rb").read()
+                        for ext in (".json", ".csv")])
+    assert outputs[0] == outputs[1]

@@ -467,3 +467,63 @@ def test_config_loads_integral_floats():
     assert floats.tangle_max_subgraphs == 300
     from nblifts.experiments import _magnifier_args
     assert _magnifier_args(floats.magnifier) == _magnifier_args(magnifier)
+
+
+# strings and booleans used to load through bool(), int() and float():
+# "strict": "false" ran as strict = True, "3" as degree 3
+
+def test_config_rejects_non_boolean_strict():
+    for strict in ("false", 0):
+        _refused(f"tangle strict must be true or false, got {strict!r}",
+                 tangle={"nu": 1.8, "r": 2, "strict": strict})
+
+
+def test_config_loads_boolean_strict():
+    cfg = ExperimentConfig.from_json(
+        _config_json(tangle={"nu": 1.8, "r": 2, "strict": True}))
+    assert cfg.tangle.strict is True
+
+
+def test_config_rejects_string_degree():
+    _refused("degrees must be an integer, got '3'", degrees=["3"])
+
+
+def test_config_rejects_string_trials():
+    _refused("trials must be an integer, got '2'", trials="2")
+
+
+def test_config_rejects_string_epsilon():
+    _refused("epsilon must be a number, got '0.2'", epsilon="0.2")
+
+
+def test_config_rejects_boolean_epsilon():
+    _refused("epsilon must be a number, got True", epsilon=True)
+
+
+def test_config_rejects_string_seed():
+    _refused("seed must be an integer, got '5'", seed="5")
+
+
+def test_config_rejects_string_tangle_nu():
+    _refused("tangle nu must be a number, got '1.8'",
+             tangle={"nu": "1.8", "r": 2})
+
+
+def test_config_rejects_string_tangle_r():
+    _refused("tangle r must be an integer, got '2'",
+             tangle={"nu": 1.8, "r": "2"})
+
+
+def test_config_rejects_string_magnifier_gamma():
+    _refused("magnifier: gamma must be a number, got '0.1'",
+             magnifier={"gamma": "0.1"})
+
+
+def test_config_rejects_boolean_magnifier_gamma():
+    _refused("magnifier: gamma must be a number, got True",
+             magnifier={"gamma": True})
+
+
+def test_config_rejects_string_magnifier_R():
+    _refused("magnifier: R must be an integer, got '2'",
+             magnifier={"gamma": 0.1, "R": "2"})

@@ -197,6 +197,23 @@ def test_json_rejects_mismatched_partner():
         graph_from_json(data)
 
 
+def test_json_rejects_boolean_vertices():
+    # bool is an int in Python, so this used to load as Graph(n=True)
+    data = {"vertices": True, "edges": [
+        {"id": 0, "tail": False, "head": False, "inv": False}]}
+    with pytest.raises(GraphFormatError, match="'vertices'"):
+        graph_from_json(data)
+
+
+@pytest.mark.parametrize("key", ["id", "tail", "head", "inv"])
+def test_json_rejects_boolean_edge_keys(key):
+    data = graph_to_json(from_pairs(2, [(0, 1)]))
+    data["edges"][1][key] = bool(data["edges"][1][key])
+    with pytest.raises(GraphFormatError,
+                       match=rf"edges\[1\]: .*'{key}'"):
+        graph_from_json(data)
+
+
 def test_json_rejects_missing_keys():
     with pytest.raises(GraphFormatError):
         graph_from_json({"vertices": 1})

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
-    bouquet, complete_graph, cycle_graph, dipole, from_pairs, girth,
-    is_covering,
+    Graph, GraphMorphism, bouquet, complete_graph, cycle_graph, dipole,
+    from_pairs, girth, is_covering,
 )
 from nblifts.lifts import (
+    MODEL_KINDS,
     Lift,
     ModelError,
     ModelSpec,
@@ -18,6 +19,7 @@ from nblifts.lifts import (
     sample_lift,
     validate_model,
 )
+from nblifts.spectral import _edge_arrays
 
 
 def cycle_type_is_single_n_cycle(perm):
@@ -242,3 +244,51 @@ def test_degree_one_edge_cases():
     assert a.sigma[0].tolist() == [0]
     lift = build_lift(b, a)
     assert lift.cover == b
+
+
+def test_equal_draws_compare_equal():
+    base = complete_graph(4)
+    a1 = sample_assignment(base, 5, ModelSpec(), seed=3)
+    a2 = sample_assignment(base, 5, ModelSpec(), seed=3)
+    assert a1 == a2 and hash(a1) == hash(a2)
+    assert build_lift(base, a1) == build_lift(base, a2)
+    assert hash(build_lift(base, a1)) == hash(build_lift(base, a2))
+    other = sample_assignment(base, 5, ModelSpec(), seed=4)
+    assert a1 != other and build_lift(base, a1) != build_lift(base, other)
+    assert a1 != PermutationAssignment.identity(base, 5)
+    assert a1 != a1.sigma.tolist()
+
+
+@st.composite
+def lift_bases(draw):
+    """Bases with half-loops, whole-loops, parallel edges and isolated
+    vertices; edgeless and vertexless ones included."""
+    n = draw(st.integers(0, 4))
+    if n == 0:
+        return from_pairs(0)
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    halves = draw(st.lists(vertex, max_size=3))
+    return from_pairs(n, pairs, halves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lift_bases(), st.integers(1, 12), st.sampled_from(MODEL_KINDS),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_built_cover_passes_the_checked_constructors(base, degree, kind,
+                                                     rule, seed):
+    # build_lift skips Graph.__init__'s and GraphMorphism's checks; the
+    # result must be exactly what the checked constructors accept and give
+    parity_rule = "matching" if degree % 2 == 0 else "near_matching"
+    half_loop = parity_rule if rule or base.has_half_loops() else None
+    lift = sample_lift(base, degree, ModelSpec(kind, half_loop), seed)
+    c = lift.cover
+    checked = Graph(c.n, c.tail, c.head, c.inv)
+    assert c == checked
+    assert all(c.out_edges(v) == checked.out_edges(v) for v in range(c.n))
+    p = lift.projection
+    assert GraphMorphism(c, base, p.vertex_map, p.edge_map) == p
+    assert is_covering(p)
+    for kept, made in zip(lift.edge_arrays, _edge_arrays(c)):
+        assert kept.dtype == np.int64 and np.array_equal(kept, made)
+        assert not kept.flags.writeable
