@@ -22,6 +22,7 @@ from .graphs import (
     cycle_graph,
     dipole,
     empty_graph,
+    from_orbits,
     from_pairs,
     girth,
     graph_from_json,

@@ -56,9 +56,12 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """value as a float; a boolean or a string is refused."""
+    """value as a float; a boolean, a string, nan, an infinity (json.load
+    accepts NaN and Infinity) or an integer past float range is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for nan
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -88,6 +91,9 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be positive")
         if not self.degrees:
             raise ConfigError("at least one cover degree is required")
+        if len(set(self.degrees)) != len(self.degrees):
+            raise ConfigError(
+                f"cover degrees must be distinct, got {list(self.degrees)}")
         for n in self.degrees:
             if not validate_model(self.base, self.model, n):
                 raise ConfigError(

@@ -6,6 +6,11 @@ of ``inv`` are the undirected edges.  A fixed point of ``inv`` is a half-loop
 (it contributes 1 to the degree of its vertex and a single directed edge);
 an orbit of size two with equal endpoints is a whole-loop (contributing 2).
 
+Every derived graph is built by one of two constructors: ``from_orbits``
+numbers a list of (u, v, half) orbits in the order given, and the private
+``_subgraph`` keeps some directed edges of a graph and renames its vertices.
+Both go through ``Graph``'s full check.
+
 Note on pruning: ``prune`` returns the maximal subgraph in which every vertex
 has degree at least two.  This is stronger than merely removing leaves, since
 a vertex carrying only a half-loop has degree one and is removed too.
@@ -177,24 +182,34 @@ class Graph:
         return True
 
 
+def from_orbits(n: int, orbits) -> Graph:
+    """Build a graph from (u, v, half) orbits, numbered in the order given.
+
+    A whole orbit becomes directed edges u->v and v->u with consecutive ids
+    (a whole-loop when u == v); a half orbit becomes one fixed edge at u == v.
+    """
+    tail, head, inv = [], [], []
+    for u, v, half in orbits:
+        e = len(tail)
+        if half:
+            tail.append(u)
+            head.append(v)
+            inv.append(e)
+        else:
+            tail += [u, v]
+            head += [v, u]
+            inv += [e + 1, e]
+    return Graph(n, tail, head, inv)
+
+
 def from_pairs(n: int, pairs=(), half_loops=()) -> Graph:
     """Build a graph from undirected pairs plus half-loop locations.
 
     Each (u, v) pair becomes an orbit of two directed edges (a whole-loop
     when u == v); each entry of half_loops becomes a single fixed edge.
     """
-    tail, head, inv = [], [], []
-    for u, v in pairs:
-        e = len(tail)
-        tail += [u, v]
-        head += [v, u]
-        inv += [e + 1, e]
-    for v in half_loops:
-        e = len(tail)
-        tail.append(v)
-        head.append(v)
-        inv.append(e)
-    return Graph(n, tail, head, inv)
+    return from_orbits(n, [(u, v, False) for u, v in pairs]
+                       + [(v, v, True) for v in half_loops])
 
 
 def empty_graph() -> Graph:
@@ -236,28 +251,35 @@ def nb_successors(g: Graph):
     return tuple(succ)
 
 
+def _subgraph(g: Graph, verts, edges, vertex_id=None):
+    """Keep the given ascending directed edges of g, closed under inv, on
+    len(verts) vertices.
+
+    Vertex w of g becomes vertex_id[w], by default its index in verts.
+    Returns (subgraph, vertex_ids, directed_edge_ids), the id tuples mapping
+    the subgraph's dense ids back to g's.
+    """
+    if vertex_id is None:
+        vertex_id = {v: i for i, v in enumerate(verts)}
+    eidx = {e: i for i, e in enumerate(edges)}
+    sub = Graph(
+        len(verts),
+        [vertex_id[g.tail[e]] for e in edges],
+        [vertex_id[g.head[e]] for e in edges],
+        [eidx[g.inv[e]] for e in edges],
+    )
+    return sub, tuple(verts), tuple(edges)
+
+
 def subgraph_from_orbits(g: Graph, orbit_reps):
     """Subgraph spanned by the given orbit representatives.
 
     Returns (subgraph, vertex_ids, directed_edge_ids) where the id tuples map
     the subgraph's dense ids back to g's.
     """
-    edge_ids = []
-    for r in orbit_reps:
-        edge_ids.append(r)
-        if g.inv[r] != r:
-            edge_ids.append(g.inv[r])
-    edge_ids = sorted(set(edge_ids))
-    verts = sorted({g.tail[e] for e in edge_ids} | {g.head[e] for e in edge_ids})
-    vidx = {v: i for i, v in enumerate(verts)}
-    eidx = {e: i for i, e in enumerate(edge_ids)}
-    sub = Graph(
-        len(verts),
-        [vidx[g.tail[e]] for e in edge_ids],
-        [vidx[g.head[e]] for e in edge_ids],
-        [eidx[g.inv[e]] for e in edge_ids],
-    )
-    return sub, tuple(verts), tuple(edge_ids)
+    edges = sorted({e for r in orbit_reps for e in (r, g.inv[r])})
+    # edges is closed under inv, so its tails are also its heads
+    return _subgraph(g, sorted({g.tail[e] for e in edges}), edges)
 
 
 def induced_subgraph(g: Graph, vertices):
@@ -266,18 +288,12 @@ def induced_subgraph(g: Graph, vertices):
     Vertices without incident edges are kept, unlike subgraph_from_orbits.
     """
     verts = sorted(set(vertices))
-    vidx = {v: i for i, v in enumerate(verts)}
+    for v in verts:
+        if not (0 <= v < g.n):
+            raise ValueError(f"unknown vertex {v}")
     keep = set(verts)
-    eids = [e for e in range(g.num_directed)
-            if g.tail[e] in keep and g.head[e] in keep]
-    eidx = {e: i for i, e in enumerate(eids)}
-    sub = Graph(
-        len(verts),
-        [vidx[g.tail[e]] for e in eids],
-        [vidx[g.head[e]] for e in eids],
-        [eidx[g.inv[e]] for e in eids],
-    )
-    return sub, tuple(verts), tuple(eids)
+    return _subgraph(g, verts, [e for e in range(g.num_directed)
+                                if g.tail[e] in keep and g.head[e] in keep])
 
 
 def prune(g: Graph) -> Graph:
@@ -308,17 +324,8 @@ def prune_with_map(g: Graph):
                 deg[w] -= 1
                 if alive_v[w] and deg[w] < 2:
                     queue.append(w)
-    verts = [v for v in range(g.n) if alive_v[v]]
-    edges = [e for e in range(g.num_directed) if alive_e[e]]
-    vidx = {v: i for i, v in enumerate(verts)}
-    eidx = {e: i for i, e in enumerate(edges)}
-    sub = Graph(
-        len(verts),
-        [vidx[g.tail[e]] for e in edges],
-        [vidx[g.head[e]] for e in edges],
-        [eidx[g.inv[e]] for e in edges],
-    )
-    return sub, tuple(verts), tuple(edges)
+    return _subgraph(g, [v for v in range(g.n) if alive_v[v]],
+                     [e for e in range(g.num_directed) if alive_e[e]])
 
 
 def girth(g: Graph):
@@ -404,41 +411,34 @@ class GraphMorphism:
         return m
 
 
-def _fibre_maps(m: GraphMorphism, use_head: bool):
+def _fibres_map_into(m: GraphMorphism, onto: bool) -> bool:
+    """True when edge fibres map injectively at every vertex (head and
+    tail); with onto, bijectively."""
     g, h = m.source, m.target
-    gmap = g.head if use_head else g.tail
-    hmap = h.head if use_head else h.tail
-    g_fib = {}
-    for e in range(g.num_directed):
-        g_fib.setdefault(gmap[e], []).append(e)
-    h_count = {}
-    for f in range(h.num_directed):
-        h_count[hmap[f]] = h_count.get(hmap[f], 0) + 1
-    return g_fib, h_count
+    for gmap, hmap in ((g.head, h.head), (g.tail, h.tail)):
+        g_fib = {}
+        for e in range(g.num_directed):
+            g_fib.setdefault(gmap[e], []).append(e)
+        h_count = {}
+        for f in range(h.num_directed):
+            h_count[hmap[f]] = h_count.get(hmap[f], 0) + 1
+        for v in range(g.n):
+            imgs = [m.edge_map[e] for e in g_fib.get(v, [])]
+            if len(set(imgs)) != len(imgs):
+                return False
+            if onto and len(imgs) != h_count.get(m.vertex_map[v], 0):
+                return False
+    return True
 
 
 def is_etale(m: GraphMorphism) -> bool:
     """True when edge fibres map injectively at every vertex (head and tail)."""
-    for use_head in (True, False):
-        g_fib, _ = _fibre_maps(m, use_head)
-        for v in range(m.source.n):
-            imgs = [m.edge_map[e] for e in g_fib.get(v, [])]
-            if len(set(imgs)) != len(imgs):
-                return False
-    return True
+    return _fibres_map_into(m, onto=False)
 
 
 def is_covering(m: GraphMorphism) -> bool:
     """True when edge fibres map bijectively at every vertex (head and tail)."""
-    for use_head in (True, False):
-        g_fib, h_count = _fibre_maps(m, use_head)
-        for v in range(m.source.n):
-            imgs = [m.edge_map[e] for e in g_fib.get(v, [])]
-            if len(set(imgs)) != len(imgs):
-                return False
-            if len(imgs) != h_count.get(m.vertex_map[v], 0):
-                return False
-    return True
+    return _fibres_map_into(m, onto=True)
 
 
 @dataclass(frozen=True)
@@ -474,41 +474,20 @@ class OrderedGraph:
         return cls(g, tuple(range(g.n)), reps, reps)
 
     def canonical_key(self):
-        """Hashable key; equal exactly for order-isomorphic ordered graphs."""
+        """Hashable key; equal exactly for order-isomorphic ordered graphs.
+
+        One (tail rank, head rank, is half-loop) row per orbit, in edge
+        order and along the orientation: the from_orbits list of the
+        relabelled graph.
+        """
         g = self.graph
         vrank = {v: i for i, v in enumerate(self.vertex_order)}
-        new_id = {}
-        for rep, o in zip(self.edge_order, self.orientation):
-            new_id[o] = len(new_id)
-            if g.inv[o] != o:
-                new_id[g.inv[o]] = len(new_id)
-        rows = []
-        for rep, o in zip(self.edge_order, self.orientation):
-            rows.append((vrank[g.tail[o]], vrank[g.head[o]],
-                         new_id[g.inv[o]] == new_id[o]))
-        return (g.n, tuple(rows))
+        return (g.n, tuple((vrank[g.tail[o]], vrank[g.head[o]], g.inv[o] == o)
+                           for o in self.orientation))
 
     def relabelled(self) -> "OrderedGraph":
         """Equivalent ordered graph with identity orders (canonical form)."""
-        g = self.graph
-        vrank = {v: i for i, v in enumerate(self.vertex_order)}
-        new_id = {}
-        for rep, o in zip(self.edge_order, self.orientation):
-            new_id[o] = len(new_id)
-            if g.inv[o] != o:
-                new_id[g.inv[o]] = len(new_id)
-        m = g.num_directed
-        tail = [0] * m
-        head = [0] * m
-        inv = [0] * m
-        for e in range(m):
-            ne = new_id[e]
-            tail[ne] = vrank[g.tail[e]]
-            head[ne] = vrank[g.head[e]]
-            inv[ne] = new_id[g.inv[e]]
-        ng = Graph(g.n, tail, head, inv)
-        reps = ng.orientation()
-        return OrderedGraph(ng, tuple(range(ng.n)), reps, reps)
+        return OrderedGraph.default(from_orbits(*self.canonical_key()))
 
 
 def graph_to_json(g: Graph) -> dict:

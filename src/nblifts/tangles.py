@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 import math
 
-from .graphs import Graph, bouquet, dipole, from_pairs, prune_with_map, \
-    subgraph_from_orbits
+from .graphs import Graph, _subgraph, bouquet, dipole, from_pairs, \
+    prune_with_map, subgraph_from_orbits
 from .spectral import mu1
 
 MU1_TOL = 1e-9
@@ -63,20 +63,7 @@ def contract_nonloop_edge(psi: Graph, e: int) -> Graph:
     u, v = psi.tail[e], psi.head[e]
     if u == v:
         raise ValueError("cannot contract a loop")
-    drop = {e, psi.inv[e]}
-    keep = [f for f in range(psi.num_directed) if f not in drop]
-    vmap = [w if w != v else u for w in range(psi.n)]
-    # compact vertex ids
-    new_ids = {}
-    for w in sorted(set(vmap)):
-        new_ids[w] = len(new_ids)
-    eidx = {f: i for i, f in enumerate(keep)}
-    return Graph(
-        len(new_ids),
-        [new_ids[vmap[psi.tail[f]]] for f in keep],
-        [new_ids[vmap[psi.head[f]]] for f in keep],
-        [eidx[psi.inv[f]] for f in keep],
-    )
+    return _drop_and_merge(psi, e, u, v)
 
 
 def identify_distance_two(psi: Graph, u: int, v: int, w: int) -> Graph:
@@ -95,20 +82,16 @@ def identify_distance_two(psi: Graph, u: int, v: int, w: int) -> Graph:
         raise ValueError("u and v must both be adjacent to w")
     if any(psi.head[f] == v for f in psi.out_edges(u)):
         raise ValueError("u and v must not be adjacent")
-    e = wu[0]
-    drop = {e, psi.inv[e]}
-    keep = [f for f in range(psi.num_directed) if f not in drop]
-    vmap = [x if x != v else u for x in range(psi.n)]
-    new_ids = {}
-    for x in sorted(set(vmap)):
-        new_ids[x] = len(new_ids)
-    eidx = {f: i for i, f in enumerate(keep)}
-    return Graph(
-        len(new_ids),
-        [new_ids[vmap[psi.tail[f]]] for f in keep],
-        [new_ids[vmap[psi.head[f]]] for f in keep],
-        [eidx[psi.inv[f]] for f in keep],
-    )
+    return _drop_and_merge(psi, wu[0], u, v)
+
+
+def _drop_and_merge(psi: Graph, e: int, u: int, v: int) -> Graph:
+    """psi without e's orbit, with v identified with u."""
+    verts = [w for w in range(psi.n) if w != v]
+    vertex_id = {w: i for i, w in enumerate(verts)}
+    vertex_id[v] = vertex_id[u]
+    edges = [f for f in range(psi.num_directed) if f != e and f != psi.inv[e]]
+    return _subgraph(psi, verts, edges, vertex_id)[0]
 
 
 def m_whole(d: int) -> int:

@@ -21,7 +21,8 @@ import json
 
 import numpy as np
 
-from .graphs import Graph, OrderedGraph, nb_successors
+from .graphs import Graph, OrderedGraph, from_orbits, from_pairs, \
+    nb_successors
 
 
 # Most walks count_snbc_dfs creates in one extension step; a level whose
@@ -220,29 +221,14 @@ def visited_subgraph(w: Walk, g: Graph) -> OrderedGraph:
     for v in w.vertices:
         if v not in vnew:
             vnew[v] = len(vnew)
-    orbit_dir = {}  # orbit rep in g -> first-traversed directed edge
-    order = []
+    seen = set()
+    orbits = []  # one per orbit of g, in the direction first traversed
     for e in w.edges:
         rep = min(e, g.inv[e])
-        if rep not in orbit_dir:
-            orbit_dir[rep] = e
-            order.append(rep)
-    tail, head, inv = [], [], []
-    for rep in order:
-        e = orbit_dir[rep]
-        a, b = vnew[g.tail[e]], vnew[g.head[e]]
-        i = len(tail)
-        if g.inv[e] == e:
-            tail.append(a)
-            head.append(b)
-            inv.append(i)
-        else:
-            tail += [a, b]
-            head += [b, a]
-            inv += [i + 1, i]
-    sub = Graph(len(vnew), tail, head, inv)
-    reps = sub.orientation()
-    return OrderedGraph(sub, tuple(range(sub.n)), reps, reps)
+        if rep not in seen:
+            seen.add(rep)
+            orbits.append((vnew[g.tail[e]], vnew[g.head[e]], g.inv[e] == e))
+    return OrderedGraph.default(from_orbits(len(vnew), orbits))
 
 
 def beads(g: Graph):
@@ -349,24 +335,12 @@ def suppress_beads(s: OrderedGraph, bead_vertices) -> HomotopyType:
         entries.append((path_rank(p), oriented, reverse_path(oriented)))
     entries.sort(key=lambda t: t[0])
 
-    tail, head, inv, lengths = [], [], [], []
-    for _, p, rp in entries:
-        a = new_v[g.tail[p[0]]]
-        b = new_v[g.head[p[-1]]]
-        i = len(tail)
-        if p == rp:  # single half-loop
-            tail.append(a)
-            head.append(b)
-            inv.append(i)
-        else:
-            tail += [a, b]
-            head += [b, a]
-            inv += [i + 1, i]
-        lengths.append(len(p))
-    red = Graph(len(keep), tail, head, inv)
-    reps = red.orientation()
-    ordered = OrderedGraph(red, tuple(range(red.n)), reps, reps)
-    return HomotopyType(ordered, tuple(lengths))
+    # a path equal to its reverse is a single half-loop
+    red = from_orbits(len(keep), [
+        (new_v[g.tail[p[0]]], new_v[g.head[p[-1]]], p == rp)
+        for _, p, rp in entries])
+    return HomotopyType(OrderedGraph.default(red),
+                        tuple(len(p) for _, p, _ in entries))
 
 
 def walk_reduction(w: Walk, g: Graph) -> HomotopyType:
@@ -406,18 +380,7 @@ def vlg(t: Graph, lengths) -> Graph:
         chain = [a] + list(range(next_v, next_v + k - 1)) + [b]
         next_v += k - 1
         pairs.extend(zip(chain, chain[1:]))
-    tail, head, inv = [], [], []
-    for u, v in pairs:
-        e = len(tail)
-        tail += [u, v]
-        head += [v, u]
-        inv += [e + 1, e]
-    for v in halves:
-        e = len(tail)
-        tail.append(v)
-        head.append(v)
-        inv.append(e)
-    return Graph(next_v, tail, head, inv)
+    return from_pairs(next_v, pairs, halves)
 
 
 def snbc_by_type(g: Graph, k: int, budget: int = 10_000_000):

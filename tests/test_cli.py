@@ -177,3 +177,23 @@ def test_experiment_bytes_equal_across_processes(tmp_path, k4_path):
         outputs.append([open(prefix + ext, "rb").read()
                         for ext in (".json", ".csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_experiment_repeated_degree_exits_3(tmp_path, k4_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": k4_path, "degrees": [10, 10, 20], "trials": 3,
+        "epsilon": 0.2}))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "cover degrees must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_experiment_non_finite_epsilon_exits_3(tmp_path, k4_path, capsys,
+                                               literal):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        f'{{"base": {json.dumps(k4_path)}, "degrees": [2], "trials": 1, '
+        f'"epsilon": {literal}}}')
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "epsilon must be finite" in capsys.readouterr().err

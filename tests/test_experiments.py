@@ -527,3 +527,28 @@ def test_config_rejects_boolean_magnifier_gamma():
 def test_config_rejects_string_magnifier_R():
     _refused("magnifier: R must be an integer, got '2'",
              magnifier={"gamma": 0.1, "R": "2"})
+
+
+# a repeated degree used to run twice, each row counting both passes
+
+def test_config_rejects_repeated_degree():
+    with pytest.raises(ConfigError, match=r"distinct, got \[2, 2, 3\]"):
+        small_config(degrees=(2, 2, 3))
+    _refused("cover degrees must be distinct", degrees=[10, 10, 20])
+
+
+# json.load accepts NaN and Infinity; a nan epsilon made every count 0
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_config_rejects_non_finite_epsilon(value):
+    _refused("epsilon must be finite", epsilon=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_tangle_nu(value):
+    _refused("tangle nu must be finite", tangle={"nu": value, "r": 2})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_magnifier_gamma(value):
+    _refused("magnifier: gamma must be finite", magnifier={"gamma": value})

@@ -14,14 +14,17 @@ from nblifts.graphs import (
     cycle_graph,
     dipole,
     empty_graph,
+    from_orbits,
     from_pairs,
     graph_from_json,
     graph_to_json,
     girth,
+    induced_subgraph,
     is_covering,
     is_etale,
     path_graph,
     prune,
+    prune_with_map,
     subgraph_from_orbits,
 )
 
@@ -249,3 +252,51 @@ def test_ordered_graph_canonical_key():
     # reordering vertices changes the key
     og2 = OrderedGraph(g, (1, 0, 2), og.edge_order, og.orientation)
     assert og2.canonical_key() != og.canonical_key()
+
+
+def test_induced_subgraph_keeps_isolated_vertices():
+    # directed ids: (0,1) -> 0,1; (1,2) -> 2,3; whole-loop -> 4,5; half -> 6
+    g = from_pairs(4, [(0, 1), (1, 2), (0, 0)], [2])
+    sub, vids, eids = induced_subgraph(g, [3, 0, 2])
+    assert (sub.n, vids, eids) == (3, (0, 2, 3), (4, 5, 6))
+    assert sub.degrees() == (2, 1, 0)
+    # the morphism check proves the id maps intertwine tail, head and inv
+    assert is_etale(GraphMorphism(sub, g, vids, eids))
+
+
+def test_induced_subgraph_rejects_unknown_vertex():
+    g = cycle_graph(3)
+    with pytest.raises(ValueError, match="unknown vertex 99"):
+        induced_subgraph(g, [0, 99])
+    with pytest.raises(ValueError, match="unknown vertex -1"):
+        induced_subgraph(g, [-1])
+
+
+@given(small_graphs(), st.data())
+def test_subgraphs_map_back_etale(g, data):
+    reps = data.draw(st.lists(st.sampled_from(g.orientation()), unique=True)
+                     if g.num_directed else st.just([]))
+    verts = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    for sub, vids, eids in (subgraph_from_orbits(g, reps),
+                            induced_subgraph(g, verts), prune_with_map(g)):
+        assert is_etale(GraphMorphism(sub, g, vids, eids))
+
+
+@given(small_graphs())
+def test_from_orbits_rebuilds_from_pairs(g):
+    orbits = [(g.tail[r], g.head[r], g.inv[r] == r) for r in g.orientation()]
+    assert from_orbits(g.n, orbits) == g
+
+
+@given(small_graphs(), st.data())
+def test_relabelled_keeps_canonical_key(g, data):
+    vertex_order = data.draw(st.permutations(range(g.n)))
+    edge_order = data.draw(st.permutations(g.orientation()))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edge_order),
+                               max_size=len(edge_order)))
+    og = OrderedGraph(g, tuple(vertex_order), tuple(edge_order),
+                      tuple(g.inv[r] if flip else r
+                            for r, flip in zip(edge_order, flips)))
+    rel = og.relabelled()
+    assert rel.canonical_key() == og.canonical_key()
+    assert rel == OrderedGraph.default(rel.graph) == rel.relabelled()
