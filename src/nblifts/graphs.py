@@ -251,6 +251,13 @@ def nb_successors(g: Graph):
     return tuple(succ)
 
 
+def _check_ids(ids, count: int, kind: str):
+    """Raise ValueError naming the first of ids outside range(count)."""
+    for i in ids:
+        if not 0 <= i < count:
+            raise ValueError(f"unknown {kind} {i}")
+
+
 def _subgraph(g: Graph, verts, edges, vertex_id=None):
     """Keep the given ascending directed edges of g, closed under inv, on
     len(verts) vertices.
@@ -277,7 +284,9 @@ def subgraph_from_orbits(g: Graph, orbit_reps):
     Returns (subgraph, vertex_ids, directed_edge_ids) where the id tuples map
     the subgraph's dense ids back to g's.
     """
-    edges = sorted({e for r in orbit_reps for e in (r, g.inv[r])})
+    reps = set(orbit_reps)
+    _check_ids(reps, g.num_directed, "directed edge")
+    edges = sorted(reps | {g.inv[r] for r in reps})
     # edges is closed under inv, so its tails are also its heads
     return _subgraph(g, sorted({g.tail[e] for e in edges}), edges)
 
@@ -288,9 +297,7 @@ def induced_subgraph(g: Graph, vertices):
     Vertices without incident edges are kept, unlike subgraph_from_orbits.
     """
     verts = sorted(set(vertices))
-    for v in verts:
-        if not (0 <= v < g.n):
-            raise ValueError(f"unknown vertex {v}")
+    _check_ids(verts, g.n, "vertex")
     keep = set(verts)
     return _subgraph(g, verts, [e for e in range(g.num_directed)
                                 if g.tail[e] in keep and g.head[e] in keep])

@@ -238,16 +238,17 @@ def build_lift(base: Graph, assignment: PermutationAssignment) -> Lift:
     # (v, i) -> v, (e, i) -> e intertwines tail, head and inv by
     # construction: Graph.__init__ and GraphMorphism's check would only
     # prove this again.
-    idx = np.arange(n)
-    tail = (np.asarray(base.tail, dtype=np.int64)[:, None] * n + idx).ravel()
+    tail = (np.asarray(base.tail, dtype=np.int64)[:, None] * n
+            + np.arange(n)).ravel()
     head = (np.asarray(base.head, dtype=np.int64)[:, None] * n + sig).ravel()
     inv = (np.asarray(base.inv, dtype=np.int64)[:, None] * n + sig).ravel()
     # (v, i) has out-edges (e, i) for e in base.out_edges(v), ascending in
     # e as Graph.__init__ orders them
     out = []
     for v in range(nb):
-        es = np.asarray(base.out_edges(v), dtype=np.int64)
-        out.extend(map(tuple, (es * n + idx[:, None]).tolist()))
+        es = base.out_edges(v)
+        out.extend(zip(*(range(e * n, e * n + n) for e in es)) if es
+                   else [()] * n)
     cover = Graph._trusted(nb * n, tuple(tail.tolist()), tuple(head.tolist()),
                            tuple(inv.tolist()), tuple(out))
     projection = GraphMorphism._trusted(

@@ -11,9 +11,11 @@ least LANCZOS_MIN_VERTICES vertices these come from matrix-free Lanczos on
 the sum-zero subspace: the plain three-term recurrence, O(N) memory, with a
 residual test on every returned value and the dense solve as fallback
 whenever an extreme reaches the threshold or the test never passes.  Its
-convergence checks take the extremes of the k x k tridiagonal by Laguerre's
-iteration in O(k) per pass, with no eigensolve.  Smaller covers, and every
-full spectrum, take the dense solve.
+convergence checks run where the decay of the residual bounds predicts they
+can pass, and take the extremes of the k x k tridiagonal by Laguerre's
+iteration in O(k) per pass, with no eigensolve.  A skipped check can only
+delay a return: a value is returned only after a check at that step passes.
+Smaller covers, and every full spectrum, take the dense solve.
 """
 
 from dataclasses import dataclass
@@ -28,15 +30,33 @@ DENSE_HASHIMOTO_CAP = 4000
 # Covers with at least this many vertices get their extreme new adjacency
 # eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms of
 # new_eigenvalues / lanczos_new_extremes over lifts of K5, K4, bouquet(2)
-# and Petersen (3 seeds each, 2-core Xeon, numpy 2.4.6): N=200 2.5/3.6,
-# 300 6.9/5.2, 400 12.1/7.3, 500 19.0/6.7, 800 54.5/11.7, 1000 91.7/14.5,
-# 2000 566/22.0.  Lanczos needs 120 to 300 steps up to 2000 vertices.  The
-# crossover is near 250; 400 keeps the 320-vertex covers of the README
-# sweep on the dense path.
+# and Petersen (3 seeds each, best of 3 below 1000 vertices, 2-core Xeon,
+# numpy 2.4.6): N=200 3.0/3.2, 300 7.5/4.2, 400 13.7/4.1, 500 24.1/6.4,
+# 800 54.4/8.3, 1000 99.5/9.3, 2000 657/16.6.  Lanczos needs 120 to 300
+# steps up to 2000 vertices.  The crossover is near 200; 400 keeps the
+# 320-vertex covers of the README sweep on the dense path.
 LANCZOS_MIN_VERTICES = 400
 LANCZOS_MAX_STEPS = 500
-LANCZOS_CHECK_EVERY = 20
 LANCZOS_TOL = 1e-10
+# Lanczos convergence checks: the first comes after LANCZOS_CHECK_EVERY
+# steps, and each later one where the last two checks' residual bounds
+# predict it can pass (lanczos_new_extremes, _check_gap).  The constants
+# come from recorded bound trajectories: the larger bound beta * |s_k| at
+# every step of 96 lifts (K5, K4, bouquet(2), bouquet(3), dipole(3) and
+# Petersen; N = 100, 500, 1000, 2000; seeds 0-3), on which schedules were
+# replayed with a check costing 5.3 us per tridiagonal row and a step 37 to
+# 73 us (N = 500 to 2000; 2-core Xeon).  The bound stays near 1e-2 to 1e-1
+# for 40 to 60 steps and then falls ever faster, so a log-linear prediction
+# overshoots unless it is capped.  Over the 72 lifts with N >= 500, against
+# a check every 20 steps (modelled cost 1, median 9 checks, median 10 steps
+# past the first step that passes): factor 0.8 with gaps in [5, 80] costs
+# 0.80 with median 4 checks and 5.5 steps past (at most 37); a gap cap of
+# 40 costs 0.87 (6 checks), of 120 costs 0.80 (4 checks, up to 49 steps
+# past); factors 0.6 and 1.0 cost 0.82 and 0.80 at a cap of 80.
+LANCZOS_CHECK_EVERY = 20  # first check, and the gap when the bound did not fall
+LANCZOS_GAP_FACTOR = 0.8
+LANCZOS_MIN_GAP = 5
+LANCZOS_MAX_GAP = 80
 # Laguerre passes per extreme from a cold start, over 40,000 random
 # tridiagonals of size up to 40: median 6, or 24 where the two extremes
 # nearly coincide, and at most 34.  Warm-started Lanczos checks take a
@@ -368,15 +388,19 @@ def lanczos_new_extremes(lift: Lift):
     already converged, and a Ritz value theta with residual bound
     beta * |s_k| <= tol lies within tol + O(k eps |A|) of an eigenvalue.
 
-    Every LANCZOS_CHECK_EVERY steps, and when beta <= LANCZOS_TOL (an
-    invariant subspace), the lowest and highest eigenvalues of the
-    tridiagonal T come from tridiagonal_lowest (of T and of -T), each
-    started from the previous check's value minus 1.001 times its residual
-    bound, and |s_k| of each from ritz_last_component.  Returns
-    [theta_min, theta_max] (every Ritz value when there are fewer than two)
-    only once both residual bounds are <= LANCZOS_TOL; a nan bound never
-    passes.  Returns None at an invariant subspace that fails the test or
-    after LANCZOS_MAX_STEPS steps.
+    A check takes the lowest and highest eigenvalues of the tridiagonal T
+    from tridiagonal_lowest (of T and of -T), each started from the
+    previous check's value minus 1.001 times its residual bound, and |s_k|
+    of each from ritz_last_component.  Checks run after LANCZOS_CHECK_EVERY
+    steps, then where _check_gap places the next one from the decay of the
+    larger bound between the last two checks, and always when
+    beta <= LANCZOS_TOL (an invariant subspace) and at LANCZOS_MAX_STEPS.
+    Returns [theta_min, theta_max] (every Ritz value when there are fewer
+    than two) only from a check whose residual bounds are both
+    <= LANCZOS_TOL; a nan bound never passes.  So a step without a check
+    can only delay a return, never change what is certified.  Returns None
+    at an invariant subspace that fails the test or after LANCZOS_MAX_STEPS
+    steps.
     """
     n, size = lift.assignment.degree, lift.cover.n
     if lift.base.n * (n - 1) == 0:
@@ -384,23 +408,25 @@ def lanczos_new_extremes(lift: Lift):
     tail, head = lift.edge_arrays
 
     def sum_zero(x):
-        x = x.reshape(-1, n)
-        return (x - x.mean(axis=1, keepdims=True)).ravel()
+        # x minus each fibre's mean, in place: the same bits as x.mean
+        fibres = x.reshape(-1, n)
+        fibres -= fibres.sum(axis=1, keepdims=True) / n
+        return x
 
     q = sum_zero(np.random.default_rng(0).standard_normal(size))
     q /= np.linalg.norm(q)
     alpha, beta = [], []
     low_start = high_start = math.nan  # high_start is a start for -T
+    check, last = LANCZOS_CHECK_EVERY, None
     for k in range(LANCZOS_MAX_STEPS):
         w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
         alpha.append(float(q @ w))
         w -= alpha[-1] * q
         if k:
             w -= beta[-1] * prev
-        b = float(np.linalg.norm(w))
+        b = math.sqrt(w @ w)
         invariant = b <= LANCZOS_TOL
-        if (invariant or (k + 1) % LANCZOS_CHECK_EVERY == 0
-                or k + 1 == LANCZOS_MAX_STEPS):
+        if invariant or k + 1 == check or k + 1 == LANCZOS_MAX_STEPS:
             low = tridiagonal_lowest(alpha, beta, low_start)
             high = -tridiagonal_lowest([-a for a in alpha], beta, high_start)
             pick = [low, high] if k else [low]
@@ -413,9 +439,29 @@ def lanczos_new_extremes(lift: Lift):
             # and by interlacing none has a higher lowest (or lower highest)
             low_start = low - 1.001 * bounds[0]
             high_start = -high - 1.001 * bounds[-1]
+            worst = float(np.max(bounds))  # nan when either is
+            check = k + 1 + _check_gap(last, k + 1, worst)
+            last = k + 1, worst
         beta.append(b)
         prev, q = q, w / b
     return None
+
+
+def _check_gap(last, step, bound: float) -> int:
+    """Steps from a failed convergence check to the next one.
+
+    bound (> LANCZOS_TOL, or nan) is the larger residual bound at step, and
+    last the (step, bound) of the previous check, if any.  When the bound
+    fell, the next check goes LANCZOS_GAP_FACTOR of the way to where its
+    log-linear decay since last reaches LANCZOS_TOL, at least
+    LANCZOS_MIN_GAP and at most LANCZOS_MAX_GAP steps on; otherwise
+    LANCZOS_CHECK_EVERY steps on.
+    """
+    if last is None or not bound < last[1]:
+        return LANCZOS_CHECK_EVERY
+    rate = math.log(last[1] / bound) / (step - last[0])
+    gap = LANCZOS_GAP_FACTOR * math.log(bound / LANCZOS_TOL) / rate
+    return math.ceil(min(max(gap, LANCZOS_MIN_GAP), LANCZOS_MAX_GAP))
 
 
 def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 import math
 
-from .graphs import Graph, _subgraph, bouquet, dipole, from_pairs, \
-    prune_with_map, subgraph_from_orbits
+from .graphs import Graph, _check_ids, _subgraph, bouquet, dipole, \
+    from_pairs, prune_with_map, subgraph_from_orbits
 from .spectral import mu1
 
 MU1_TOL = 1e-9
@@ -60,6 +60,7 @@ def contract_nonloop_edge(psi: Graph, e: int) -> Graph:
     Preserves the order exactly and never lowers mu1; parallel edges to the
     merged pair become whole-loops.
     """
+    _check_ids([e], psi.num_directed, "directed edge")
     u, v = psi.tail[e], psi.head[e]
     if u == v:
         raise ValueError("cannot contract a loop")
@@ -72,6 +73,7 @@ def identify_distance_two(psi: Graph, u: int, v: int, w: int) -> Graph:
     Discards one edge between w and u, so the order is preserved; creates
     no new self-loops and never lowers mu1.
     """
+    _check_ids((u, v, w), psi.n, "vertex")
     if u == v:
         raise ValueError("u and v must be distinct")
     if u == w or v == w:

@@ -272,6 +272,13 @@ def test_induced_subgraph_rejects_unknown_vertex():
         induced_subgraph(g, [-1])
 
 
+@pytest.mark.parametrize("rep", [-1, -6, 6, 99])
+def test_subgraph_from_orbits_rejects_unknown_edge(rep):
+    g = cycle_graph(3)  # directed edges 0..5
+    with pytest.raises(ValueError, match=f"unknown directed edge {rep}$"):
+        subgraph_from_orbits(g, [0, rep])
+
+
 @given(small_graphs(), st.data())
 def test_subgraphs_map_back_etale(g, data):
     reps = data.draw(st.lists(st.sampled_from(g.orientation()), unique=True)

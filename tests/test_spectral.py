@@ -572,3 +572,78 @@ def test_lanczos_memory_is_linear_in_cover_size():
         tracemalloc.stop()
     assert vals is not None and len(vals) == 2
     assert peak < 8e6
+
+
+def _spy_lowest(monkeypatch):
+    """Record (alpha, beta) of every convergence check: each check calls
+    tridiagonal_lowest on T and then on -T."""
+    calls = []
+    real = spectral.tridiagonal_lowest
+
+    def spy(alpha, beta, start=math.nan):
+        calls.append((list(alpha), list(beta)))
+        return real(alpha, beta, start)
+
+    monkeypatch.setattr(spectral, "tridiagonal_lowest", spy)
+    return calls
+
+
+def test_lanczos_checks_at_an_off_schedule_step_cap(monkeypatch):
+    # the step cap is checked even where the schedule would not check
+    base = bouquet(2)
+    lift = sample_lift(base, 500, ModelSpec(), seed=0)
+    seen = _spy_lowest(monkeypatch)
+    assert lanczos_new_extremes(lift) is not None
+    schedule = [len(a) for a, _ in seen[::2]]
+    alpha, beta = seen[-2]
+
+    def every_step_check_passes(m):
+        # the test at step m with an eigensolver: beta_m |s_m| of each extreme
+        _, s = np.linalg.eigh(_tridiagonal(alpha[:m], beta[:m - 1]))
+        bound = beta[m - 1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
+        return bound <= spectral.LANCZOS_TOL / 2
+
+    off = [m for m in range(2, schedule[-1])
+           if m not in schedule and every_step_check_passes(m)]
+    assert off, schedule
+    seen.clear()
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", off[0])
+    vals = lanczos_new_extremes(lift)
+    assert [len(a) for a, _ in seen[::2]] == (
+        [m for m in schedule if m < off[0]] + [off[0]])
+    dense = new_eigenvalues(lift)
+    tol = _extremes_tol(base)
+    assert abs(vals[0] - dense[0]) <= tol
+    assert abs(vals[-1] - dense[-1]) <= tol
+
+
+# tridiagonal_lowest calls measured with the residual-driven schedule; a
+# check every 20 steps made 22, 26 and 20
+@pytest.mark.parametrize("base,seed,calls", [
+    (complete_graph(5), 1, 10), (complete_graph(4), 1, 10), (bouquet(2), 0, 8),
+])
+def test_lanczos_checks_follow_the_residual_decay(base, seed, calls,
+                                                  monkeypatch):
+    lift = sample_lift(base, 2000 // base.n, ModelSpec(), seed=seed)
+    dense = new_eigenvalues(lift)
+    seen = _spy_lowest(monkeypatch)
+    vals = lanczos_new_extremes(lift)
+    assert len(seen) <= calls
+    tol = _extremes_tol(base)
+    assert abs(vals[0] - dense[0]) <= tol
+    assert abs(vals[-1] - dense[-1]) <= tol
+
+
+@pytest.mark.parametrize("last,step,bound,gap", [
+    (None, 20, 1e-2, 20),              # first check: no decay yet
+    ((20, 1e-2), 40, 1e-2, 20),        # the bound did not fall
+    ((20, 1e-2), 40, 2e-2, 20),
+    ((20, 1e-2), 40, math.nan, 20),    # nor is nan below anything
+    ((20, math.nan), 40, 1e-3, 20),
+    ((20, 1e-2), 40, 1e-8, 6),         # 0.8 x 6.7 steps, rounded up
+    ((100, 1e-2), 110, 3e-4, 35),      # 0.8 x 42.5
+    ((20, 1e-2), 40, 9e-3, 80),        # far off: capped
+    ((20, 1e-1), 21, 2e-10, 5),        # next step: at least the minimum
+])
+def test_check_gap(last, step, bound, gap):
+    assert spectral._check_gap(last, step, bound) == gap

@@ -97,6 +97,21 @@ def test_identify_distance_two_rejects_adjacent():
         identify_distance_two(g, 0, 1, 2)
 
 
+@pytest.mark.parametrize("u,v,w,bad", [
+    (0, 2, -2, -2),  # -2 would index vertex 1, the common neighbour
+    (0, 2, 3, 3), (-3, 2, 1, -3), (0, 5, 1, 5),
+])
+def test_identify_distance_two_rejects_unknown_vertex(u, v, w, bad):
+    with pytest.raises(ValueError, match=f"unknown vertex {bad}$"):
+        identify_distance_two(path_graph(2), u, v, w)
+
+
+@pytest.mark.parametrize("e", [-1, -4, 4, 99])
+def test_contract_nonloop_edge_rejects_unknown_edge(e):
+    with pytest.raises(ValueError, match=f"unknown directed edge {e}$"):
+        contract_nonloop_edge(path_graph(2), e)
+
+
 def test_mu1_monotone_under_reductions_random():
     rng = np.random.default_rng(7)
     checked = 0
