@@ -73,7 +73,6 @@ from .spectral import (
 from .walks import (
     BudgetExceededError,
     HomotopyType,
-    TraceMismatchError,
     Walk,
     beads,
     count_snbc_dfs,

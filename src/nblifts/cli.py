@@ -38,7 +38,6 @@ from .magnify import MODES, is_pseudo_magnifier
 from .spectral import SpectralError, adjacency_spectrum, ihara_check, \
     is_ramanujan, mu1, spectral_report
 from .tangles import TangleQuery, scan_tangles
-from .walks import TraceMismatchError
 
 
 class VerificationFailure(RuntimeError):
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except (VerificationFailure, SpectralError, TraceMismatchError) as exc:
+    except (VerificationFailure, SpectralError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

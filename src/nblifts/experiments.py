@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .graphs import Graph, graph_from_json, graph_to_json, load_graph
+from .graphs import Graph, check_keys, graph_from_json, graph_to_json, \
+    load_graph
 from .lifts import ModelSpec, sample_lift, validate_model
 from .magnify import (
     EXHAUSTIVE_VERTEX_CAP,
@@ -43,6 +44,11 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
+# output is the CLI's output prefix; spectrum_tol is a legacy key, loaded
+# and ignored
+CONFIG_KEYS = ("base", "model", "degrees", "trials", "epsilon", "seed",
+               "tangle", "magnifier", "output", "spectrum_tol")
+TANGLE_KEYS = ("nu", "r", "strict", "max_vertices", "max_subgraphs")
 MAGNIFIER_KEYS = ("R", "gamma", "mode", "trials")
 
 
@@ -109,12 +115,7 @@ class ExperimentConfig:
 
     def _check_magnifier(self):
         m = self.magnifier
-        if not isinstance(m, dict):
-            raise ConfigError("magnifier must be an object")
-        unknown = sorted(set(m) - set(MAGNIFIER_KEYS))
-        if unknown:
-            raise ConfigError(f"magnifier: unknown keys {unknown}; "
-                              f"expected {list(MAGNIFIER_KEYS)}")
+        check_keys(m, MAGNIFIER_KEYS, "magnifier", ConfigError)
         if "gamma" not in m:
             raise ConfigError("magnifier: gamma is required")
         try:
@@ -149,6 +150,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        check_keys(data, CONFIG_KEYS, "config", ConfigError)
         try:
             base = data["base"]
             if isinstance(base, str):
@@ -160,6 +162,7 @@ class ExperimentConfig:
             tangle = None
             max_v, max_s = 6, 4000
             if tangle_cfg is not None:
+                check_keys(tangle_cfg, TANGLE_KEYS, "tangle", ConfigError)
                 strict = tangle_cfg.get("strict", False)
                 if not isinstance(strict, bool):
                     raise ConfigError(
@@ -280,7 +283,7 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
             mu1_new = _mean([
                 hashimoto_radius_from_adjacency(r.max_new_abs, d)
                 for r in recs if r.max_new_abs is not None])
-        lo, hi = wilson_interval(nonalon_pos, trials) if trials else (0.0, 1.0)
+        lo, hi = wilson_interval(nonalon_pos, trials)
         rows.append({
             "n": n,
             "trials": trials,
@@ -318,7 +321,7 @@ def fit_scaling(rows):
     resid = ys - (slope * xs + intercept)
     dof = len(pts) - 2
     sxx = float(((xs - xs.mean()) ** 2).sum())
-    stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx) if dof else 0.0
+    stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx)
     return {"status": "ok", "slope": float(slope),
             "intercept": float(intercept), "stderr": stderr}
 

@@ -508,6 +508,16 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def check_keys(data, expected, where: str, error):
+    """Raise error unless data is a dict whose keys all lie in expected."""
+    if not isinstance(data, dict):
+        raise error(f"{where} must be an object")
+    unknown = sorted(set(data) - set(expected))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}; "
+                    f"expected {list(expected)}")
+
+
 def _json_int(value) -> bool:
     """A JSON integer; true and false are not integers here, although
     Python's bool is an int."""
@@ -557,11 +567,11 @@ def graph_from_json(data) -> Graph:
             raise GraphFormatError(f"edges[{i}]: inv {f} out of range")
         if inv[f] != e:
             raise GraphFormatError(f"edges[{i}]: inv is not an involution")
+        if f == e and tail[e] != head[e]:
+            raise GraphFormatError(f"edges[{i}]: half-loop endpoints differ")
         if tail[f] != head[e]:
             raise GraphFormatError(
                 f"edges[{i}]: tail of partner {f} must equal head of {e}")
-        if f == e and tail[e] != head[e]:
-            raise GraphFormatError(f"edges[{i}]: half-loop endpoints differ")
     return Graph(n, tail, head, inv)
 
 

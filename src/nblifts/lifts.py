@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphMorphism
+from .graphs import Graph, GraphMorphism, check_keys
 
 MODEL_KINDS = ("permutation", "cyclic")
 HALF_LOOP_RULES = (None, "matching", "near_matching")
+MODEL_KEYS = ("model", "half_loop", "parity")
 
 
 class ModelError(ValueError):
@@ -61,6 +62,7 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelSpec":
+        check_keys(data, MODEL_KEYS, "model", ModelError)
         spec = cls(kind=data.get("model", "permutation"),
                    half_loop=data.get("half_loop"))
         declared = data.get("parity")

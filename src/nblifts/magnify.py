@@ -128,15 +128,14 @@ def best_gamma_exhaustive(g: Graph):
     return best, witness
 
 
-def _bfs_ball(g: Graph, start: int, radius: int):
+def _bfs_balls(g: Graph, start: int, radius: int):
+    """The balls of radius 1, ..., radius around start, from one BFS."""
     ball = {start}
     frontier = {start}
     for _ in range(radius):
         frontier = neighborhood(g, frontier) - ball
-        if not frontier:
-            break
         ball |= frontier
-    return ball
+        yield frozenset(ball)
 
 
 def _candidate_subsets(g: Graph, lo: int, hi: int, trials: int, rng,
@@ -148,8 +147,7 @@ def _candidate_subsets(g: Graph, lo: int, hi: int, trials: int, rng,
             seen.add(blk)
             yield blk
     for v in range(min(g.n, trials)):
-        for radius in (1, 2, 3):
-            ball = frozenset(_bfs_ball(g, v, radius))
+        for ball in _bfs_balls(g, v, 3):
             if lo <= len(ball) <= hi and ball not in seen:
                 seen.add(ball)
                 yield ball

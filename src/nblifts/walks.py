@@ -23,6 +23,7 @@ import numpy as np
 
 from .graphs import Graph, OrderedGraph, from_orbits, from_pairs, \
     nb_successors
+from .spectral import hashimoto_matrix
 
 
 # Most walks count_snbc_dfs creates in one extension step; a level whose
@@ -32,10 +33,6 @@ WALK_CHUNK = 1 << 13
 
 class BudgetExceededError(RuntimeError):
     """The walk enumeration budget ran out."""
-
-
-class TraceMismatchError(RuntimeError):
-    """tr(H^k) failed to round to an integer within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -164,48 +161,20 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
 
 
 def snbc_count(g: Graph, k: int) -> int:
-    """tr(H^k) rounded to the nearest integer.
+    """tr(H^k), exactly.
 
-    Falls back to exact integer arithmetic when float64 could lose the
-    count; raises TraceMismatchError if rounding is not clean.
+    matrix_power forms only powers H^j with j <= k, whose entries are
+    integers at most top^k (top the largest row sum of H), so float64 is
+    exact while #E^dir * top^k < 2^52; past that H^k is formed in Python
+    ints.
     """
     if k < 1:
         raise ValueError("walk length must be at least 1")
-    m = g.num_directed
-    if m == 0:
-        return 0
-    succ = nb_successors(g)
-    max_out = max((len(s) for s in succ), default=0)
-    if m * (max_out ** k) < 2 ** 52:
-        h = np.zeros((m, m))
-        for e, fs in enumerate(succ):
-            h[e, list(fs)] = 1.0
-        tr = float(np.trace(np.linalg.matrix_power(h, k)))
-        nearest = round(tr)
-        if abs(tr - nearest) > 1e-6:
-            raise TraceMismatchError(
-                f"tr(H^{k}) = {tr} does not round cleanly")
-        return int(nearest)
-    # exact path: plain integer matrix power by repeated squaring
-    h = [[0] * m for _ in range(m)]
-    for e, fs in enumerate(succ):
-        for f in fs:
-            h[e][f] = 1
-
-    def matmul(a, b):
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-    result = None
-    base = h
-    kk = k
-    while kk:
-        if kk & 1:
-            result = base if result is None else matmul(result, base)
-        kk >>= 1
-        if kk:
-            base = matmul(base, base)
-    return sum(result[i][i] for i in range(m))
+    h = hashimoto_matrix(g)
+    top = int(h.sum(axis=1).max(initial=0))
+    if h.shape[0] * top ** k >= 2 ** 52:
+        h = h.astype(np.int64).astype(object)
+    return int(np.trace(np.linalg.matrix_power(h, k)))
 
 
 def visited_subgraph(w: Walk, g: Graph) -> OrderedGraph:

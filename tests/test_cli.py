@@ -197,3 +197,17 @@ def test_experiment_non_finite_epsilon_exits_3(tmp_path, k4_path, capsys,
         f'"epsilon": {literal}}}')
     assert main(["experiment", "--config", str(cfg_path)]) == 3
     assert "epsilon must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("typo", [
+    {"sed": 5},
+    {"tangle": {"nu": 1.8, "r": 2, "max_vertex": 3}},
+    {"model": {"modle": "cyclic"}},
+])
+def test_experiment_unknown_key_exits_3(tmp_path, k4_path, capsys, typo):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        {"base": k4_path, "degrees": [2], "trials": 1, "epsilon": 0.2},
+        **typo)))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "unknown keys" in capsys.readouterr().err

@@ -552,3 +552,25 @@ def test_config_rejects_non_finite_tangle_nu(value):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite_magnifier_gamma(value):
     _refused("magnifier: gamma must be finite", magnifier={"gamma": value})
+
+
+# misspelt keys used to be dropped: "sed" ran with seed 0, "tangel" turned
+# the scan off, "max_vertex" kept the cap at 6
+
+def test_config_rejects_unknown_top_level_key():
+    _refused(r"config: unknown keys \['sed'\]; expected \['base', ", sed=5)
+    _refused(r"config: unknown keys \['tangel'\]",
+             tangel={"nu": 1.8, "r": 2})
+
+
+def test_config_rejects_unknown_tangle_key():
+    _refused(r"tangle: unknown keys \['max_vertex'\]; expected \['nu', 'r', "
+             r"'strict', 'max_vertices', 'max_subgraphs'\]",
+             tangle={"nu": 1.8, "r": 2, "max_vertex": 3})
+    _refused("tangle must be an object", tangle=[1.8, 2])
+
+
+def test_config_loads_output_key():
+    plain = ExperimentConfig.from_json(_config_json())
+    cfg = ExperimentConfig.from_json(_config_json(output="results/run1"))
+    assert cfg.to_json() == plain.to_json()

@@ -191,6 +191,15 @@ def test_json_rejects_bad_involution():
         graph_from_json(data)
 
 
+def test_json_names_half_loop_with_distinct_endpoints():
+    # inv == id with tail != head used to be reported as a partner mismatch
+    data = {"vertices": 2,
+            "edges": [{"id": 0, "tail": 0, "head": 1, "inv": 0}]}
+    with pytest.raises(GraphFormatError,
+                       match=r"^edges\[0\]: half-loop endpoints differ$"):
+        graph_from_json(data)
+
+
 def test_json_rejects_mismatched_partner():
     data = {"vertices": 3, "edges": [
         {"id": 0, "tail": 0, "head": 1, "inv": 1},

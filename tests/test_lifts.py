@@ -42,6 +42,16 @@ def test_model_spec_json_roundtrip():
         ModelSpec(kind="bogus")
 
 
+def test_model_spec_rejects_unknown_key():
+    # {"modle": "cyclic"} used to sample the permutation model
+    with pytest.raises(ModelError, match=r"model: unknown keys \['modle'\]; "
+                                         r"expected \['model', 'half_loop', "
+                                         r"'parity'\]"):
+        ModelSpec.from_json({"modle": "cyclic"})
+    with pytest.raises(ModelError, match="model must be an object"):
+        ModelSpec.from_json("cyclic")
+
+
 def test_validate_model():
     assert validate_model(complete_graph(4), ModelSpec(), 7)
     assert not validate_model(bouquet(0, 3), ModelSpec("permutation", "matching"), 3)

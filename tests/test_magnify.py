@@ -254,3 +254,57 @@ def test_vertex_subset_fibres():
 def test_pseudo_magnifier_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode must be one of"):
         is_pseudo_magnifier(complete_graph(4), 1, 0.5, mode="exhaustiv")
+
+
+def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
+    """Reference for _candidate_subsets: the same sequence, with one BFS
+    from scratch for each radius 1, 2 and 3."""
+    def ball(start, radius):
+        found, frontier = {start}, {start}
+        for _ in range(radius):
+            frontier = neighborhood(g, frontier) - found
+            if not frontier:
+                break
+            found |= frontier
+        return frozenset(found)
+
+    seen = set()
+    out = []
+    for blk in map(frozenset, fibre_blocks):
+        if lo <= len(blk) <= hi and blk not in seen:
+            seen.add(blk)
+            out.append(blk)
+    for v in range(min(g.n, trials)):
+        for radius in (1, 2, 3):
+            b = ball(v, radius)
+            if lo <= len(b) <= hi and b not in seen:
+                seen.add(b)
+                out.append(b)
+    for _ in range(trials):
+        size = int(rng.integers(lo, hi + 1))
+        u = frozenset(int(x) for x in rng.choice(g.n, size=size, replace=False))
+        if u not in seen:
+            seen.add(u)
+            out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("graph, blocks, lo, trials", [
+    (sample_lift(complete_graph(4), 10, ModelSpec(), seed=3).cover, True, 2,
+     60),
+    (sample_lift(bouquet(2), 30, ModelSpec(), seed=5).cover, True, 1, 20),
+    (sample_lift(bouquet(1, 1), 12, ModelSpec(half_loop="matching"),
+                 seed=2).cover, False, 1, 30),
+    # components exhausted before radius 3, and an isolated vertex
+    (from_pairs(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 6)]), False, 1, 8),
+])
+def test_candidate_subsets_match_a_bfs_per_radius(graph, blocks, lo, trials):
+    from nblifts.magnify import _candidate_subsets
+    fibre = [list(range(i, graph.n, 3)) for i in range(3)] if blocks else []
+    hi = graph.n // 2
+    got = list(_candidate_subsets(graph, lo, hi, trials,
+                                  np.random.default_rng(11), fibre))
+    want = _candidates_with_a_bfs_per_radius(
+        graph, lo, hi, trials, np.random.default_rng(11), fibre)
+    assert got == want
+    assert len(got) > trials // 2

@@ -82,10 +82,16 @@ def test_budget_guard():
 
 
 def test_exact_integer_trace_path():
-    # force the exact-arithmetic branch with an absurdly long walk length
+    # cycle_graph(5) has non-backtracking out-degree 1, so 10 * 1^k < 2^52
+    # keeps even k = 200 on the float64 path
     g = cycle_graph(5)
     assert snbc_count(g, 200) == 10  # two directed 5-cycles, k divisible by 5
     assert snbc_count(g, 201) == 0
+    # bouquet(2): H has 4 rows of sum 3 and spectrum {3, 1, 1, -1}; at
+    # k = 40 and 41, 4 * 3^k > 2^52 and the power is formed in Python ints
+    for k in (30, 40, 41):
+        assert snbc_count(bouquet(2), k) == 3 ** k + 2 + (-1) ** k
+    assert snbc_count(bouquet(2), 40) == 12157665459056928804
 
 
 def test_visited_subgraph_triangle():
