@@ -230,7 +230,6 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
               base_spectrum=None) -> TrialRecord:
     seed = trial_seed(cfg.seed, n, t)
     lift = sample_lift(cfg.base, n, cfg.model, seed)
-    cover = lift.cover
     d = cfg.base.regular_degree()
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
@@ -240,13 +239,13 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     non_alon = 0 if d is None else count_non_alon(new_vals, d, cfg.epsilon)
     every = np.sort(np.concatenate([base_spectrum, new_vals]))
     lam2 = float(every[-2]) if len(every) >= 2 else None
-    connected = cover.is_connected()
+    connected = lift.is_connected()
     near_d = None
     if not connected and d is not None and len(new_vals):
         near_d = any(abs(abs(v) - d) <= 1e-6 for v in new_vals)
     has_t = caps = None
     if cfg.tangle is not None:
-        rep = scan_tangles(cover, cfg.tangle,
+        rep = scan_tangles(lift.cover, cfg.tangle,
                            max_vertices=cfg.tangle_max_vertices,
                            max_subgraphs=cfg.tangle_max_subgraphs)
         has_t, caps = rep.has_tangles(), rep.caps_hit
@@ -254,7 +253,7 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     if cfg.magnifier is not None:
         R, gamma, mode, trials = _magnifier_args(cfg.magnifier)
         mag = is_pseudo_magnifier(
-            cover, R, gamma, mode=mode, trials=trials, seed=seed,
+            lift.cover, R, gamma, mode=mode, trials=trials, seed=seed,
             fibre_blocks=lift_fibre_blocks(lift)).holds
     return TrialRecord(n, t, non_alon, max_new, lam2, connected, near_d,
                        has_t, caps, mag)

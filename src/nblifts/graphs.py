@@ -6,10 +6,11 @@ of ``inv`` are the undirected edges.  A fixed point of ``inv`` is a half-loop
 (it contributes 1 to the degree of its vertex and a single directed edge);
 an orbit of size two with equal endpoints is a whole-loop (contributing 2).
 
-Every derived graph is built by one of two constructors: ``from_orbits``
-numbers a list of (u, v, half) orbits in the order given, and the private
-``_subgraph`` keeps some directed edges of a graph and renames its vertices.
-Both go through ``Graph``'s full check.
+Every ``Graph`` passes ``__init__``'s check; there is no unchecked
+constructor.  Every derived graph is built by one of two constructors:
+``from_orbits`` numbers a list of (u, v, half) orbits in the order given,
+and the private ``_subgraph`` keeps some directed edges of a graph and
+renames its vertices.
 
 Note on pruning: ``prune`` returns the maximal subgraph in which every vertex
 has degree at least two.  This is stronger than merely removing leaves, since
@@ -59,17 +60,6 @@ class Graph:
             out[tail[e]].append(e)
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
 
-    @classmethod
-    def _trusted(cls, n: int, tail: tuple, head: tuple, inv: tuple,
-                 out: tuple) -> "Graph":
-        """A graph from tuples its caller has already proved valid, with
-        out-edge tuples in the ascending order __init__ produces; nothing
-        is checked."""
-        g = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (n, tail, head, inv, out)):
-            object.__setattr__(g, name, value)
-        return g
-
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -88,9 +78,6 @@ class Graph:
     @property
     def num_directed(self) -> int:
         return len(self.tail)
-
-    def is_half_loop(self, e: int) -> bool:
-        return self.inv[e] == e
 
     def orientation(self):
         """One representative per involution orbit: the lowest directed id."""
@@ -309,7 +296,12 @@ def prune(g: Graph) -> Graph:
 
 
 def prune_with_map(g: Graph):
-    """Like prune, returning (subgraph, vertex_ids, directed_edge_ids)."""
+    """Like prune, returning (subgraph, vertex_ids, directed_edge_ids).
+
+    An already pruned g is returned itself, with identity id maps.
+    """
+    if g.is_pruned():
+        return g, tuple(range(g.n)), tuple(range(g.num_directed))
     alive_v = [True] * g.n
     alive_e = [True] * g.num_directed
     deg = list(g.degrees())
@@ -404,18 +396,6 @@ class GraphMorphism:
     @classmethod
     def identity(cls, g: Graph):
         return cls(g, g, tuple(range(g.n)), tuple(range(g.num_directed)))
-
-    @classmethod
-    def _trusted(cls, source: Graph, target: Graph, vertex_map: tuple,
-                 edge_map: tuple) -> "GraphMorphism":
-        """A morphism its caller has already proved to intertwine; the
-        check in __post_init__ is skipped."""
-        m = object.__new__(cls)
-        for name, value in (("source", source), ("target", target),
-                            ("vertex_map", vertex_map),
-                            ("edge_map", edge_map)):
-            object.__setattr__(m, name, value)
-        return m
 
 
 def _fibres_map_into(m: GraphMorphism, onto: bool) -> bool:

@@ -12,15 +12,17 @@ sigma(inv(e)) = sigma(e)^-1.  Sampling models:
 Draws are edge-independent on the lowest-id orientation, with one RNG
 stream per (seed, edge id), so sampling is reproducible and parallelizable.
 
-A lift's data is checked once, when its PermutationAssignment is made:
-every row of sigma must be a permutation and partner rows inverse.
-build_lift then forms the cover's edge arrays by broadcasting over the
-base's, and builds the cover Graph and its projection from them without
-checking either again; Graph and GraphMorphism keep their checks for every
-other caller.
+A lift is its base and its PermutationAssignment, whose check makes every
+row of sigma a permutation and partner rows inverse.  The cover's edge
+arrays, the cover Graph and its projection are built from them on first
+use, through Graph's and GraphMorphism's own checks.  Whether the cover is
+connected is read from the holonomy of sigma without building the cover:
+the cover of a connected base is connected exactly when the holonomy acts
+transitively on one fibre (Amit and Linial 2002).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,10 +95,6 @@ def _check_model(base: Graph, spec: ModelSpec, n: int):
         raise ModelError(f"model requires odd degree, got {n}")
 
 
-def _uniform_permutation(rng, n):
-    return rng.permutation(n)
-
-
 def _uniform_cycle(rng, n):
     """Uniform permutation whose cycle structure is a single n-cycle."""
     order = rng.permutation(n)
@@ -105,23 +103,17 @@ def _uniform_cycle(rng, n):
     return sigma
 
 
-def _uniform_matching(rng, n):
-    """Uniform fixed-point-free involution (n even)."""
+def _uniform_involution(rng, n):
+    """Uniform perfect matching (n even) or uniform involution with exactly
+    one fixed point (n odd): consecutive entries of one permutation are
+    paired, and the last is fixed when n is odd."""
     order = rng.permutation(n)
     sigma = np.empty(n, dtype=np.int64)
+    if n % 2:
+        sigma[order[-1]] = order[-1]
+        order = order[:-1]
     sigma[order[0::2]] = order[1::2]
     sigma[order[1::2]] = order[0::2]
-    return sigma
-
-
-def _uniform_near_matching(rng, n):
-    """Uniform involution with exactly one fixed point (n odd)."""
-    order = rng.permutation(n)
-    sigma = np.empty(n, dtype=np.int64)
-    sigma[order[-1]] = order[-1]
-    rest = order[:-1]
-    sigma[rest[0::2]] = rest[1::2]
-    sigma[rest[1::2]] = rest[0::2]
     return sigma
 
 
@@ -193,14 +185,12 @@ def sample_assignment(base: Graph, n: int, spec: ModelSpec,
     for rep in base.orientation():
         rng = np.random.default_rng([int(seed), rep])
         if base.inv[rep] == rep:
-            if spec.half_loop == "matching":
-                perm = _uniform_matching(rng, n)
-            else:
-                perm = _uniform_near_matching(rng, n)
+            # _check_model matched n's parity to the half-loop rule
+            perm = _uniform_involution(rng, n)
         elif base.tail[rep] == base.head[rep] and spec.kind == "cyclic":
             perm = _uniform_cycle(rng, n)
         else:
-            perm = _uniform_permutation(rng, n)
+            perm = rng.permutation(n)
         sig[rep] = perm
         if base.inv[rep] != rep:
             sig[base.inv[rep]] = _invert(perm)
@@ -209,56 +199,63 @@ def sample_assignment(base: Graph, n: int, spec: ModelSpec,
 
 @dataclass(frozen=True)
 class Lift:
-    """A coordinatized cover together with its projection to the base."""
+    """A coordinatized cover of base: vertex (v, i) is v*n + i and directed
+    edge (e, i) is e*n + i, with (e, i) running to (head e, sigma_e(i)).
+
+    The cover, its projection and its edge arrays are built on first use
+    and kept; cached_property writes the instance __dict__, which a frozen
+    dataclass allows, and only base and assignment are compared.
+    """
 
     base: Graph
-    cover: Graph
-    projection: GraphMorphism
     assignment: PermutationAssignment
-    # cover.tail and cover.head as read-only int64 arrays, for the spectral
-    # path; the same data as the cover's tuples, so not compared
-    edge_arrays: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def edge_arrays(self):
+        """The cover's tail and head as read-only int64 arrays."""
+        n = self.assignment.degree
+        tail = (np.asarray(self.base.tail, dtype=np.int64)[:, None] * n
+                + np.arange(n)).ravel()
+        head = (np.asarray(self.base.head, dtype=np.int64)[:, None] * n
+                + self.assignment.sigma).ravel()
+        tail.flags.writeable = False
+        head.flags.writeable = False
+        return tail, head
+
+    @cached_property
+    def cover(self) -> Graph:
+        n = self.assignment.degree
+        tail, head = self.edge_arrays
+        inv = (np.asarray(self.base.inv, dtype=np.int64)[:, None] * n
+               + self.assignment.sigma).ravel()
+        return Graph(self.base.n * n, tail.tolist(), head.tolist(),
+                     inv.tolist())
+
+    @cached_property
+    def projection(self) -> GraphMorphism:
+        n = self.assignment.degree
+        return GraphMorphism(
+            self.cover, self.base,
+            tuple((np.arange(self.base.n * n) // n).tolist()),
+            tuple((np.arange(self.base.num_directed * n) // n).tolist()))
+
+    def is_connected(self) -> bool:
+        """Whether the cover is connected, read from sigma's holonomy
+        without building the cover."""
+        if self.base.n == 0:
+            return True
+        if not self.base.is_connected():
+            return False
+        return orbit_count(holonomy_generators(self),
+                           self.assignment.degree) == 1
 
 
 def build_lift(base: Graph, assignment: PermutationAssignment) -> Lift:
-    """Glue the degree-n cover: vertex (v,i) -> v*n+i, edge (e,i) -> e*n+i.
-
-    The cover's tail, head and inv are formed by broadcasting over the
-    base's arrays, and the cover and its projection are built without a
-    second check: the assignment's check already proves them valid.
-    """
+    """The lift of base given by a checked assignment; its cover is built
+    on first use."""
     if assignment.base != base:
         raise ValueError("assignment was built for a different base graph")
-    n = assignment.degree
-    sig = assignment.sigma
-    nb = base.n
-    mb = base.num_directed
-    # The assignment's check proved every row of sigma a permutation of [n]
-    # and sigma[inv e] the inverse of sigma[e], and base is a Graph.  So
-    # (e, i) -> (inv e, sigma_e(i)) is an involution, tail(inv(e, i)) =
-    # head(e) * n + sigma_e(i) = head(e, i), every endpoint is in range, and
-    # (v, i) -> v, (e, i) -> e intertwines tail, head and inv by
-    # construction: Graph.__init__ and GraphMorphism's check would only
-    # prove this again.
-    tail = (np.asarray(base.tail, dtype=np.int64)[:, None] * n
-            + np.arange(n)).ravel()
-    head = (np.asarray(base.head, dtype=np.int64)[:, None] * n + sig).ravel()
-    inv = (np.asarray(base.inv, dtype=np.int64)[:, None] * n + sig).ravel()
-    # (v, i) has out-edges (e, i) for e in base.out_edges(v), ascending in
-    # e as Graph.__init__ orders them
-    out = []
-    for v in range(nb):
-        es = base.out_edges(v)
-        out.extend(zip(*(range(e * n, e * n + n) for e in es)) if es
-                   else [()] * n)
-    cover = Graph._trusted(nb * n, tuple(tail.tolist()), tuple(head.tolist()),
-                           tuple(inv.tolist()), tuple(out))
-    projection = GraphMorphism._trusted(
-        cover, base, tuple((np.arange(nb * n) // n).tolist()),
-        tuple((np.arange(mb * n) // n).tolist()))
-    tail.flags.writeable = False
-    head.flags.writeable = False
-    return Lift(base, cover, projection, assignment, (tail, head))
+    return Lift(base, assignment)
 
 
 def sample_lift(base: Graph, n: int, spec: ModelSpec, seed) -> Lift:
@@ -308,8 +305,8 @@ def orbit_count(generators, n: int) -> int:
         return x
 
     for g in generators:
-        for i in range(n):
-            a, b = find(i), find(int(g[i]))
+        for i, j in enumerate(g.tolist()):
+            a, b = find(i), find(j)
             if a != b:
                 parent[a] = b
     return len({find(i) for i in range(n)})

@@ -66,8 +66,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 class SpectralError(RuntimeError):
-    """Numerical failure: unmatched eigenvalue, broken trace identity or
-    unconverged power iteration."""
+    """Numerical failure or refused solve: an unmatched eigenvalue in
+    multiset_difference, an unconverged power iteration in mu1, or a dense
+    Hashimoto solve above DENSE_HASHIMOTO_CAP directed edges."""
 
 
 def _edge_arrays(g: Graph):
@@ -242,7 +243,7 @@ def multiset_contains(big_vals, small_vals, tol) -> bool:
 def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
     """Eigenvalues of the cover on functions summing to zero on every fibre.
 
-    Adds c * P in place, P averaging each fibre (n x n blocks in build_lift's
+    Adds c * P in place, P averaging each fibre (n x n blocks in Lift's
     layout); P commutes with A and H, and c = 2 * maxdeg + 1 lifts every old
     eigenvalue past every new one, so the new ones are the lowest #V_B (n-1)
     (adjacency, ascending) or #E_B (n-1) (Hashimoto, complex, by real part).
@@ -250,7 +251,7 @@ def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
     n = lift.assignment.degree
     if which == "adjacency":
         blocks = lift.base.n
-        m = _adjacency_from_arrays(lift.cover.n, lift.edge_arrays)
+        m = _adjacency_from_arrays(lift.base.n * n, lift.edge_arrays)
     elif which == "hashimoto":
         blocks, m = lift.base.num_directed, _dense_hashimoto(lift.cover)
     else:
@@ -402,7 +403,8 @@ def lanczos_new_extremes(lift: Lift):
     at an invariant subspace that fails the test or after LANCZOS_MAX_STEPS
     steps.
     """
-    n, size = lift.assignment.degree, lift.cover.n
+    n = lift.assignment.degree
+    size = lift.base.n * n
     if lift.base.n * (n - 1) == 0:
         return np.zeros(0)
     tail, head = lift.edge_arrays
@@ -475,7 +477,7 @@ def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:
     comes within LANCZOS_TOL of threshold (the count may be positive and
     needs multiplicities) or when lanczos_new_extremes returns None.
     """
-    if lift.cover.n < LANCZOS_MIN_VERTICES:
+    if lift.base.n * lift.assignment.degree < LANCZOS_MIN_VERTICES:
         return new_eigenvalues(lift)
     vals = lanczos_new_extremes(lift)
     if vals is None or np.any(np.abs(vals) + LANCZOS_TOL > threshold):

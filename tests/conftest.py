@@ -1,6 +1,13 @@
 import sys, os; sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 import pytest
+from hypothesis import settings
+
+# GitHub Actions sets CI: a failing property test there prints the
+# @reproduce_failure blob that replays its example anywhere
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

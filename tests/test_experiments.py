@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from nblifts.graphs import bouquet, complete_graph, from_pairs, graph_to_json
-from nblifts.lifts import ModelSpec
+from nblifts.graphs import (
+    Graph, bouquet, complete_graph, from_pairs, graph_to_json,
+)
+from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -574,3 +576,25 @@ def test_config_loads_output_key():
     plain = ExperimentConfig.from_json(_config_json())
     cfg = ExperimentConfig.from_json(_config_json(output="results/run1"))
     assert cfg.to_json() == plain.to_json()
+
+
+def test_trial_without_scan_or_magnifier_builds_no_graph(monkeypatch):
+    # connectivity is read from the holonomy and the spectrum from the edge
+    # arrays, so such a trial never builds the cover or any other Graph
+    inits = []
+    real = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        real(self, *args, **kwargs)
+
+    configs = [small_config(degrees=(2, 5, 120)),  # 480 vertices: Lanczos
+               small_config(base=bouquet(2), degrees=(1, 6), epsilon=0.1)]
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for cfg in configs:
+        for n in cfg.degrees:
+            for t in range(3):
+                run_trial(cfg, n, t)
+    assert inits == []
+    sample_lift(configs[0].base, 3, ModelSpec(), seed=0).cover
+    assert [args[0] for args in inits] == [12]  # the wrapper sees a cover

@@ -316,3 +316,32 @@ def test_relabelled_keeps_canonical_key(g, data):
     rel = og.relabelled()
     assert rel.canonical_key() == og.canonical_key()
     assert rel == OrderedGraph.default(rel.graph) == rel.relabelled()
+
+
+def reference_prune_with_map(g):
+    """Peel every vertex of degree below two among the survivors until none
+    is left; the 2-core is induced on what remains."""
+    alive = set(range(g.n))
+    while True:
+        low = {v for v in alive
+               if sum(g.head[e] in alive for e in g.out_edges(v)) < 2}
+        if not low:
+            return induced_subgraph(g, alive)
+        alive -= low
+
+
+@given(small_graphs())
+def test_prune_with_map_matches_peeling(g):
+    assert prune_with_map(g) == reference_prune_with_map(g)
+
+
+@pytest.mark.parametrize("g", [
+    empty_graph(), bouquet(1), bouquet(0, 2), cycle_graph(5),
+    complete_graph(4), dipole(3), from_pairs(3, [(0, 1), (1, 2), (2, 0)],
+                                             [0, 1, 2]),
+])
+def test_prune_with_map_returns_a_pruned_graph_itself(g):
+    assert g.is_pruned()
+    core, vids, eids = prune_with_map(g)
+    assert core is g
+    assert (vids, eids) == (tuple(range(g.n)), tuple(range(g.num_directed)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,8 +289,8 @@ def lift_bases(draw):
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_built_cover_passes_the_checked_constructors(base, degree, kind,
                                                      rule, seed):
-    # build_lift skips Graph.__init__'s and GraphMorphism's checks; the
-    # result must be exactly what the checked constructors accept and give
+    # the lazily built cover, projection and edge arrays must be exactly
+    # what the checked constructors accept and give
     parity_rule = "matching" if degree % 2 == 0 else "near_matching"
     half_loop = parity_rule if rule or base.has_half_loops() else None
     lift = sample_lift(base, degree, ModelSpec(kind, half_loop), seed)
@@ -302,3 +304,30 @@ def test_built_cover_passes_the_checked_constructors(base, degree, kind,
     for kept, made in zip(lift.edge_arrays, _edge_arrays(c)):
         assert kept.dtype == np.int64 and np.array_equal(kept, made)
         assert not kept.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(lift_bases(), st.integers(1, 12), st.sampled_from(MODEL_KINDS),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_holonomy_connectivity_matches_the_cover(base, degree, kind, rule,
+                                                 seed):
+    parity_rule = "matching" if degree % 2 == 0 else "near_matching"
+    half_loop = parity_rule if rule or base.has_half_loops() else None
+    lift = sample_lift(base, degree, ModelSpec(kind, half_loop), seed)
+    connected = lift.is_connected()
+    assert "cover" not in vars(lift)  # answered from sigma alone
+    assert connected == lift.cover.is_connected()
+
+
+def test_lift_is_its_base_and_assignment():
+    base = complete_graph(4)
+    a = sample_assignment(base, 5, ModelSpec(), seed=3)
+    built, fresh = build_lift(base, a), build_lift(base, a)
+    assert [f.name for f in dataclasses.fields(Lift)] == ["base",
+                                                          "assignment"]
+    assert vars(fresh) == {"base": base, "assignment": a}
+    assert built.cover is built.cover  # built once and kept
+    assert built.projection.source is built.cover
+    assert built == fresh and hash(built) == hash(fresh)
+    assert not build_lift(from_pairs(2), PermutationAssignment.identity(
+        from_pairs(2), 3)).is_connected()  # disconnected base
