@@ -16,7 +16,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     GraphMorphism,
-    OrderedGraph,
     bouquet,
     complete_graph,
     cycle_graph,

@@ -49,6 +49,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a real option: nan and the infinities, which float()
+    accepts and json.dumps would print as NaN or Infinity, are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _model_from_args(args) -> ModelSpec:
     return ModelSpec(kind=args.model, half_loop=args.half_loop)
 
@@ -259,8 +268,8 @@ def build_parser() -> _Parser:
     add_model_args(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
+    p.add_argument("--tol", type=_finite_float, default=1e-7)
     p.add_argument("--hashimoto", action="store_true",
                    help="include the dense Hashimoto spectrum")
     p.add_argument("--out")
@@ -268,7 +277,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tangle-scan", help="bounded tangle search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--nu", type=_finite_float, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--max-vertices", type=int, default=8)
@@ -279,7 +288,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("magnify-check", help="vertex-expansion check")
     p.add_argument("--graph", required=True)
     p.add_argument("--R", type=int, default=1)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=_finite_float, required=True)
     p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

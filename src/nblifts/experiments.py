@@ -120,11 +120,9 @@ class ExperimentConfig:
             raise ConfigError("magnifier: gamma is required")
         try:
             R, gamma, mode, trials = _magnifier_args(m)
-            check_magnifier_args(R, gamma, mode)
+            check_magnifier_args(R, gamma, mode, trials)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"magnifier: {exc}")
-        if trials < 1:
-            raise ConfigError("magnifier: trials must be at least 1")
         largest = self.base.n * max(self.degrees)
         if mode == "exhaustive" and largest > EXHAUSTIVE_VERTEX_CAP:
             raise ConfigError(

@@ -428,55 +428,6 @@ def is_covering(m: GraphMorphism) -> bool:
     return _fibres_map_into(m, onto=True)
 
 
-@dataclass(frozen=True)
-class OrderedGraph:
-    """Graph with a vertex order, an edge-orbit order and an orientation.
-
-    vertex_order lists the vertices, edge_order the orbit representatives
-    (lowest directed id per orbit) and orientation one chosen directed edge
-    per orbit, aligned with edge_order.  Every half-loop orients itself.
-    """
-
-    graph: Graph
-    vertex_order: tuple
-    edge_order: tuple
-    orientation: tuple
-
-    def __post_init__(self):
-        g = self.graph
-        if sorted(self.vertex_order) != list(range(g.n)):
-            raise ValueError("vertex_order must enumerate all vertices")
-        reps = g.orientation()
-        if sorted(self.edge_order) != sorted(reps):
-            raise ValueError("edge_order must enumerate all orbits")
-        if len(self.orientation) != len(self.edge_order):
-            raise ValueError("orientation misaligned with edge_order")
-        for rep, o in zip(self.edge_order, self.orientation):
-            if o not in (rep, g.inv[rep]):
-                raise ValueError("orientation must pick a member of each orbit")
-
-    @classmethod
-    def default(cls, g: Graph):
-        reps = g.orientation()
-        return cls(g, tuple(range(g.n)), reps, reps)
-
-    def canonical_key(self):
-        """Hashable key; equal exactly for order-isomorphic ordered graphs.
-
-        One (tail rank, head rank, is half-loop) row per orbit, in edge
-        order and along the orientation: the from_orbits list of the
-        relabelled graph.
-        """
-        g = self.graph
-        vrank = {v: i for i, v in enumerate(self.vertex_order)}
-        return (g.n, tuple((vrank[g.tail[o]], vrank[g.head[o]], g.inv[o] == o)
-                           for o in self.orientation))
-
-    def relabelled(self) -> "OrderedGraph":
-        """Equivalent ordered graph with identity orders (canonical form)."""
-        return OrderedGraph.default(from_orbits(*self.canonical_key()))
-
-
 def graph_to_json(g: Graph) -> dict:
     """Serialize to the interchange format; half-loops have inv == id."""
     return {

@@ -181,8 +181,13 @@ def is_magnifier(g: Graph, gamma: float, mode: str = "auto",
     return is_pseudo_magnifier(g, 1, gamma, mode, trials, seed, fibre_blocks)
 
 
-def check_magnifier_args(R: int, gamma: float, mode: str) -> None:
-    """Raise ValueError unless is_pseudo_magnifier accepts these arguments."""
+def check_magnifier_args(R: int, gamma: float, mode: str,
+                         trials: int) -> None:
+    """Raise ValueError unless is_pseudo_magnifier accepts these arguments.
+
+    trials must be positive in every mode: a sampled check of no subset
+    would report that the graph magnifies.
+    """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if R < 1:
@@ -190,13 +195,15 @@ def check_magnifier_args(R: int, gamma: float, mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}; "
                          f"got {mode!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
 
 
 def is_pseudo_magnifier(g: Graph, R: int, gamma: float, mode: str = "auto",
                         trials: int = 200, seed=0,
                         fibre_blocks=()) -> MagnificationResult:
     """Like is_magnifier, restricted to the window R <= |U| <= |V|/2."""
-    check_magnifier_args(R, gamma, mode)
+    check_magnifier_args(R, gamma, mode, trials)
     hi = g.n // 2
     if hi < R:
         return MagnificationResult(True, None, "exhaustive", 0, None)

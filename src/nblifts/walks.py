@@ -8,8 +8,9 @@ enumerates walks level by level over non-backtracking transitions, in
 bounded chunks with one array entry per walk, and forms no matrix products.
 
 Homotopy types: the visited subgraph of a walk carries a first-encountered
-ordering; suppressing its beads (degree-2 vertices not carrying a self-loop)
-leaves a reduced ordered graph plus the path length of each reduced edge.
+numbering (the from_orbits numbering); suppressing its beads (degree-2
+vertices not carrying a self-loop) leaves a reduced graph, numbered the same
+way, plus the path length of each reduced edge.
 For closed walks we always suppress a maximal bead set; when the whole
 visited subgraph is a cycle of beads, the walk's starting vertex is kept so
 the suppression stays proper.
@@ -21,7 +22,7 @@ import json
 
 import numpy as np
 
-from .graphs import Graph, OrderedGraph, from_orbits, from_pairs, \
+from .graphs import Graph, from_orbits, from_pairs, graph_to_json, \
     nb_successors
 from .spectral import hashimoto_matrix
 
@@ -177,13 +178,13 @@ def snbc_count(g: Graph, k: int) -> int:
     return int(np.trace(np.linalg.matrix_power(h, k)))
 
 
-def visited_subgraph(w: Walk, g: Graph) -> OrderedGraph:
+def visited_subgraph(w: Walk, g: Graph) -> Graph:
     """Subgraph spanned by a walk, renumbered in first-encountered order.
 
     Vertices are renumbered by first occurrence; edge orbits by first
-    traversal, oriented in the direction first traversed (the orientation
-    representative receives the lower directed id).  The result is the
-    canonical form under ordered-graph isomorphism.
+    traversal, oriented in the direction first traversed (the lower
+    directed id of each orbit), so two walks visit order-isomorphic
+    subgraphs exactly when these graphs are equal.
     """
     w.validate(g)
     vnew = {}
@@ -197,7 +198,7 @@ def visited_subgraph(w: Walk, g: Graph) -> OrderedGraph:
         if rep not in seen:
             seen.add(rep)
             orbits.append((vnew[g.tail[e]], vnew[g.head[e]], g.inv[e] == e))
-    return OrderedGraph.default(from_orbits(len(vnew), orbits))
+    return from_orbits(len(vnew), orbits)
 
 
 def beads(g: Graph):
@@ -211,50 +212,49 @@ def beads(g: Graph):
 
 @dataclass(frozen=True)
 class HomotopyType:
-    """Reduced ordered graph together with the length of each reduced edge.
+    """Reduced graph together with the length of each reduced edge.
 
-    lengths is aligned with the reduction's edge order.  Hashable, so walk
-    censuses can group by type directly.
+    lengths is aligned with reduction.orientation().  The reduction is a
+    from_orbits graph, equal to another exactly when their orbit lists
+    are, so the dataclass's own equality and hash compare types; walk
+    censuses group by type directly.
     """
 
-    reduction: OrderedGraph
+    reduction: Graph
     lengths: tuple
 
     def __post_init__(self):
-        if len(self.lengths) != len(self.reduction.edge_order):
+        if len(self.lengths) != self.reduction.num_edges:
             raise ValueError("lengths misaligned with reduced edges")
         if any(k < 1 for k in self.lengths):
             raise ValueError("edge lengths must be positive")
 
     def key(self):
-        return (self.reduction.canonical_key(), self.lengths)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        if not isinstance(other, HomotopyType):
-            return NotImplemented
-        return self.key() == other.key()
+        """Sort key: ((n, one (tail, head, is half-loop) row per orbit),
+        lengths)."""
+        g = self.reduction
+        rows = tuple((g.tail[o], g.head[o], g.inv[o] == o)
+                     for o in g.orientation())
+        return ((g.n, rows), self.lengths)
 
     def total_length(self) -> int:
         return sum(self.lengths)
 
     def to_json(self):
-        from .graphs import graph_to_json
-        return {"reduction": graph_to_json(self.reduction.relabelled().graph),
+        return {"reduction": graph_to_json(self.reduction),
                 "lengths": list(self.lengths)}
 
 
-def suppress_beads(s: OrderedGraph, bead_vertices) -> HomotopyType:
-    """Contract maximal bead paths of an ordered graph into long edges.
+def suppress_beads(g: Graph, bead_vertices) -> HomotopyType:
+    """Contract maximal bead paths of a graph into long edges.
 
     bead_vertices must consist of beads only, and no connected component may
     lie entirely inside it.  Each directed edge of the result is a beaded
     path; the involution maps a path to its reverse, and a path of length
-    one around a half-loop is its own reverse.
+    one around a half-loop is its own reverse.  Vertices and paths keep the
+    order of their ids: kept vertices ascending, and each path oriented
+    along, and ranked by, the lowest directed id it or its reverse uses.
     """
-    g = s.graph
     vprime = set(bead_vertices)
     bead_set = set(beads(g))
     for v in vprime:
@@ -263,9 +263,10 @@ def suppress_beads(s: OrderedGraph, bead_vertices) -> HomotopyType:
     for comp in g.components():
         if comp and all(v in vprime for v in comp):
             raise ValueError("a component lies entirely in the bead set")
-    keep = [v for v in range(g.n) if v not in vprime]
+    new_v = {v: i for i, v in enumerate(
+        v for v in range(g.n) if v not in vprime)}
 
-    # walk each beaded path from its starting directed edge
+    # walk a beaded path forward from the directed edge e0
     def follow(e0):
         path = [e0]
         while g.head[path[-1]] in vprime:
@@ -274,49 +275,32 @@ def suppress_beads(s: OrderedGraph, bead_vertices) -> HomotopyType:
             path.append(nxt[0])
         return tuple(path)
 
-    paths = {}
-    for e in range(g.num_directed):
-        if g.tail[e] not in vprime:
-            paths[e] = follow(e)
-
-    vrank = {v: i for i, v in enumerate(s.vertex_order) if v not in vprime}
-    new_v = {v: i for i, v in enumerate(sorted(keep, key=lambda v: vrank[v]))}
-    orbit_rank = {rep: i for i, rep in enumerate(s.edge_order)}
-
-    def path_rank(p):
-        return min(orbit_rank[min(e, g.inv[e])] for e in p)
-
     def reverse_path(p):
         return tuple(g.inv[e] for e in reversed(p))
 
-    first_traversed = set(s.orientation)
-    entries = []  # (rank, oriented path, reversed path)
-    seen = set()
-    for e0, p in sorted(paths.items(), key=lambda kv: path_rank(kv[1])):
-        if e0 in seen:
-            continue
-        rp = reverse_path(p)
-        seen.add(e0)
-        seen.add(rp[0])
-        # orient along the first-traversed constituent of the lowest orbit
-        lead = min(p, key=lambda e: orbit_rank[min(e, g.inv[e])])
-        oriented = p if lead in first_traversed else rp
-        entries.append((path_rank(p), oriented, reverse_path(oriented)))
-    entries.sort(key=lambda t: t[0])
+    # the first directed id not yet covered is the lowest of its path and
+    # that path's reverse; take the whole path through it, in its direction
+    paths = []
+    covered = set()
+    for e in range(g.num_directed):
+        if e not in covered:
+            p = reverse_path(follow(g.inv[e]))[:-1] + follow(e)
+            covered.update(p)
+            covered.update(g.inv[f] for f in p)
+            paths.append(p)
 
     # a path equal to its reverse is a single half-loop
-    red = from_orbits(len(keep), [
-        (new_v[g.tail[p[0]]], new_v[g.head[p[-1]]], p == rp)
-        for _, p, rp in entries])
-    return HomotopyType(OrderedGraph.default(red),
-                        tuple(len(p) for _, p, _ in entries))
+    red = from_orbits(len(new_v), [
+        (new_v[g.tail[p[0]]], new_v[g.head[p[-1]]], p == reverse_path(p))
+        for p in paths])
+    return HomotopyType(red, tuple(len(p) for p in paths))
 
 
 def walk_reduction(w: Walk, g: Graph) -> HomotopyType:
     """Homotopy type of a closed walk: suppress a maximal proper bead set."""
     s = visited_subgraph(w, g)
-    bs = set(beads(s.graph))
-    for comp in s.graph.components():
+    bs = set(beads(s))
+    for comp in s.components():
         if comp and all(v in bs for v in comp):
             bs.discard(min(comp))  # keep the first-encountered vertex
     return suppress_beads(s, bs)

@@ -7,7 +7,7 @@ import pytest
 
 import nblifts
 from nblifts.cli import main
-from nblifts.graphs import bouquet, complete_graph, save_graph
+from nblifts.graphs import bouquet, complete_graph, cycle_graph, save_graph
 
 
 @pytest.fixture
@@ -78,6 +78,44 @@ def test_magnify_check_cli(k4_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] is True
     assert payload["best_gamma_seen"] >= 1.0
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_magnify_check_refuses_nonpositive_trials(tmp_path, capsys, trials):
+    path = tmp_path / "c30.json"
+    save_graph(cycle_graph(30), path)
+    rc = main(["magnify-check", "--graph", str(path), "--gamma", "0.5",
+               "--trials", trials])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("tangle-scan", "--nu", "nan"),
+    ("tangle-scan", "--nu", "inf"),
+    ("spectrum-lift", "--epsilon", "nan"),
+    ("spectrum-lift", "--epsilon", "-inf"),
+    ("spectrum-lift", "--tol", "nan"),
+    ("spectrum-graph", "--tol", "inf"),
+    ("magnify-check", "--gamma", "nan"),
+    ("magnify-check", "--gamma", "1e999"),
+])
+def test_non_finite_real_options_exit_3(k4_path, capsys, command, option,
+                                        value):
+    argv = {
+        "tangle-scan": ["tangle-scan", "--graph", k4_path, "--r", "2"],
+        "spectrum-lift": ["spectrum", "--base", k4_path],
+        "spectrum-graph": ["spectrum", "--graph", k4_path],
+        "magnify-check": ["magnify-check", "--graph", k4_path],
+    }[command] + [f"{option}={value}"]  # "=" lets "-inf" parse as a value
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be finite" in captured.err
 
 
 def test_verify_lemmas_cli(capsys):

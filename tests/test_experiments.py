@@ -392,6 +392,13 @@ def test_config_rejects_bad_magnifier_values():
             small_config(magnifier=magnifier)
 
 
+def test_config_refuses_nonpositive_magnifier_trials():
+    for trials in (0, -5):
+        with pytest.raises(ConfigError,
+                           match="^magnifier: trials must be at least 1$"):
+            small_config(magnifier={"gamma": 0.1, "trials": trials})
+
+
 def test_config_rejects_exhaustive_magnifier_past_its_cap():
     # K4 covers of degree 5 have 20 vertices, of degree 6 have 24
     small_config(degrees=(5,), magnifier={"gamma": 0.1, "mode": "exhaustive"})

@@ -8,7 +8,6 @@ from nblifts.graphs import (
     Graph,
     GraphFormatError,
     GraphMorphism,
-    OrderedGraph,
     bouquet,
     complete_graph,
     cycle_graph,
@@ -254,15 +253,6 @@ def test_structural_invariants_random(g):
     assert graph_from_json(graph_to_json(g)) == g
 
 
-def test_ordered_graph_canonical_key():
-    g = cycle_graph(3)
-    og = OrderedGraph.default(g)
-    assert og.canonical_key() == og.relabelled().canonical_key()
-    # reordering vertices changes the key
-    og2 = OrderedGraph(g, (1, 0, 2), og.edge_order, og.orientation)
-    assert og2.canonical_key() != og.canonical_key()
-
-
 def test_induced_subgraph_keeps_isolated_vertices():
     # directed ids: (0,1) -> 0,1; (1,2) -> 2,3; whole-loop -> 4,5; half -> 6
     g = from_pairs(4, [(0, 1), (1, 2), (0, 0)], [2])
@@ -302,20 +292,6 @@ def test_subgraphs_map_back_etale(g, data):
 def test_from_orbits_rebuilds_from_pairs(g):
     orbits = [(g.tail[r], g.head[r], g.inv[r] == r) for r in g.orientation()]
     assert from_orbits(g.n, orbits) == g
-
-
-@given(small_graphs(), st.data())
-def test_relabelled_keeps_canonical_key(g, data):
-    vertex_order = data.draw(st.permutations(range(g.n)))
-    edge_order = data.draw(st.permutations(g.orientation()))
-    flips = data.draw(st.lists(st.booleans(), min_size=len(edge_order),
-                               max_size=len(edge_order)))
-    og = OrderedGraph(g, tuple(vertex_order), tuple(edge_order),
-                      tuple(g.inv[r] if flip else r
-                            for r, flip in zip(edge_order, flips)))
-    rel = og.relabelled()
-    assert rel.canonical_key() == og.canonical_key()
-    assert rel == OrderedGraph.default(rel.graph) == rel.relabelled()
 
 
 def reference_prune_with_map(g):

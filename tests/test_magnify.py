@@ -256,6 +256,14 @@ def test_pseudo_magnifier_rejects_unknown_mode():
         is_pseudo_magnifier(complete_graph(4), 1, 0.5, mode="exhaustiv")
 
 
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive", "auto"])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_pseudo_magnifier_rejects_nonpositive_trials(mode, trials):
+    # a sampled check of no subset would report that C30 magnifies
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        is_pseudo_magnifier(cycle_graph(30), 1, 0.5, mode=mode, trials=trials)
+
+
 def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
     """Reference for _candidate_subsets: the same sequence, with one BFS
     from scratch for each radius 1, 2 and 3."""

@@ -98,15 +98,15 @@ def test_visited_subgraph_triangle():
     g = cycle_graph(3)
     w = Walk.from_edges(g, (0, 2, 4))
     s = visited_subgraph(w, g)
-    assert s.graph.n == 3 and s.graph.num_edges == 3
-    assert s.vertex_order == (0, 1, 2)
+    assert s.n == 3 and s.num_edges == 3
+    assert s == from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_visited_subgraph_single_edge():
     g = complete_graph(4)
     w = Walk.from_edges(g, (0,))
     s = visited_subgraph(w, g)
-    assert s.graph.n == 2 and s.graph.num_edges == 1
+    assert s.n == 2 and s.num_edges == 1
 
 
 def test_visited_subgraph_of_snbc_walk_is_pruned():
@@ -114,7 +114,7 @@ def test_visited_subgraph_of_snbc_walk_is_pruned():
     for k in (3, 4, 5):
         for w in enumerate_snbc(lift.cover, k, budget=10 ** 8)[:50]:
             s = visited_subgraph(w, lift.cover)
-            assert s.graph.min_degree() >= 2
+            assert s.min_degree() >= 2
 
 
 def test_beads():
@@ -128,36 +128,33 @@ def test_beads():
 
 def test_suppress_beads_identity_when_empty():
     g = complete_graph(4)
-    from nblifts.graphs import OrderedGraph
-    ht = suppress_beads(OrderedGraph.default(g), set())
+    ht = suppress_beads(g, set())
     assert ht.lengths == (1,) * 6
-    assert ht.reduction.graph.n == 4
+    assert ht.reduction.n == 4
 
 
 def test_suppress_beads_subdivided_square():
     # 4-cycle with two opposite vertices suppressed: two edges of length 2
     g = cycle_graph(4)
-    from nblifts.graphs import OrderedGraph
-    ht = suppress_beads(OrderedGraph.default(g), {1, 3})
-    assert ht.reduction.graph.n == 2
+    ht = suppress_beads(g, {1, 3})
+    assert ht.reduction.n == 2
     assert sorted(ht.lengths) == [2, 2]
 
 
 def test_suppress_beads_rejects_bad_sets():
-    from nblifts.graphs import OrderedGraph
     g = cycle_graph(4)
     with pytest.raises(ValueError):
-        suppress_beads(OrderedGraph.default(g), {0, 1, 2, 3})  # whole component
+        suppress_beads(g, {0, 1, 2, 3})  # whole component
     g2 = from_pairs(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
     with pytest.raises(ValueError):
-        suppress_beads(OrderedGraph.default(g2), {2})  # degree three, not a bead
+        suppress_beads(g2, {2})  # degree three, not a bead
 
 
 def test_walk_reduction_triangle():
     g = cycle_graph(3)
     w = Walk.from_edges(g, (0, 2, 4))
     ht = walk_reduction(w, g)
-    assert ht.reduction.graph.n == 1
+    assert ht.reduction.n == 1
     assert ht.lengths == (3,)
     assert ht.total_length() == 3
 
@@ -195,7 +192,6 @@ def small_templates(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_templates(), st.data())
 def test_vlg_suppression_roundtrip(t, data):
-    from nblifts.graphs import OrderedGraph
     reps = t.orientation()
     lengths = {}
     for rep in reps:
@@ -207,8 +203,8 @@ def test_vlg_suppression_roundtrip(t, data):
     interior = set(range(t.n, g.n))
     if not interior and all(v == 1 for v in lengths.values()):
         return
-    ht = suppress_beads(OrderedGraph.default(g), interior)
-    red = ht.reduction.graph
+    ht = suppress_beads(g, interior)
+    red = ht.reduction
     assert red.n == t.n
     want = sorted(
         (min(t.tail[r], t.head[r]), max(t.tail[r], t.head[r]),
@@ -216,7 +212,7 @@ def test_vlg_suppression_roundtrip(t, data):
     got = sorted(
         (min(red.tail[r], red.head[r]), max(red.tail[r], red.head[r]),
          red.inv[r] == r, ht.lengths[i])
-        for i, r in enumerate(ht.reduction.edge_order))
+        for i, r in enumerate(ht.reduction.orientation()))
     assert want == got
 
 
@@ -225,7 +221,7 @@ def test_reduction_length_sum_equals_edge_count():
     for w in enumerate_snbc(lift.cover, 5, budget=10 ** 8)[:40]:
         s = visited_subgraph(w, lift.cover)
         ht = walk_reduction(w, lift.cover)
-        assert s.graph.num_edges == ht.total_length()
+        assert s.num_edges == ht.total_length()
 
 
 def test_reduction_on_subdivided_graph_with_bead_starts():
@@ -242,7 +238,7 @@ def test_reduction_on_subdivided_graph_with_bead_starts():
         for w in walks:
             s = visited_subgraph(w, theta)
             ht = walk_reduction(w, theta)
-            assert s.graph.num_edges == ht.total_length()
+            assert s.num_edges == ht.total_length()
             total += 1
     assert total > 0
 
@@ -270,7 +266,7 @@ def test_snbc_by_type_figure_eight():
     assert sum(census.values()) == snbc_count(bouquet(2), 2) == 12
     by_count = sorted(census.values())
     assert by_count == [4, 8]
-    loops = sorted(ht.reduction.graph.num_edges for ht in census)
+    loops = sorted(ht.reduction.num_edges for ht in census)
     assert loops == [1, 2]
 
 
@@ -284,7 +280,14 @@ def test_homotopy_type_hashable_and_comparable():
     w2 = Walk.from_edges(g, (2, 4, 0))
     h1, h2 = walk_reduction(w1, g), walk_reduction(w2, g)
     assert h1 == h2 and hash(h1) == hash(h2)
-    assert h1 != walk_reduction(Walk.from_edges(g, (1, 5, 3)), g) or True
+    # the reversed triangle has the same type: one loop of length 3
+    h3 = walk_reduction(Walk.from_edges(g, (1, 5, 3)), g)
+    assert h3 == h1 and hash(h3) == hash(h1)
+    # the figure-eight at k = 2 has one single-loop and one two-loop type
+    census = snbc_by_type(bouquet(2), 2)
+    one, two = sorted(census, key=lambda ht: len(ht.lengths))
+    assert one.lengths == (1,) and two.lengths == (1, 1)
+    assert one != two and len(census) == 2
 
 
 def test_write_walk_census(tmp_path):
@@ -296,6 +299,45 @@ def test_write_walk_census(tmp_path):
     import json
     catalog = json.loads(cat_path.read_text())
     assert all(tid.startswith("T") for tid in catalog)
+
+
+# sha256 of the census CSV and of its type catalog; the census is pure
+# combinatorics, so the bytes are the same on every platform
+CENSUS_DIGESTS = {
+    "k4": ("6b1521bc3ddc16229ead18ad1cacc098183f81308cd5df8f9112e46255f1bac1",
+           "cc6e7e3c7552865026d7e39d17abf149b759a43a7b26ff1c2b10169b0d9e043b"),
+    "bouquet2": (
+        "f892a25f77acc209a1e5810c72ff8ac697b7a1d32611acdde294817bc3036cfa",
+        "24ddcca2fa2aa8d393019aba71d34b1558da6185835e6a3fc934017323dad925"),
+    "theta22": (
+        "2f852fa6d4d7622c82a4c6d9dcb967b3bdbd1d90e1f27a0b200672a4b48c445e",
+        "1b4820bd51ca1e4fc7861e0060781698eb2d0dbc13d7e4a69d78ce2ec396b6a4"),
+    "edge_two_halves": (
+        "2f2e7efc338c0eeda137ac61f9ed7624b802d831b6e9314567ecce869eabe8c0",
+        "30e10b7803937cb4627d2d770b8f1ace6fea0613607d550a6cd4f44dff45e69c"),
+    "k4_cover": (
+        "66fbba4f590aac350489c839ab60a47c23a0d6c291fc769d93fe8adc2eefce83",
+        "cc6e7e3c7552865026d7e39d17abf149b759a43a7b26ff1c2b10169b0d9e043b"),
+}
+
+
+@pytest.mark.parametrize("name, make, ks", [
+    ("k4", lambda: complete_graph(4), (3, 4)),
+    ("bouquet2", lambda: bouquet(2), (1, 2, 3, 4)),
+    ("theta22", lambda: vlg(dipole(3), [2, 2, 2]), (4, 6)),
+    ("edge_two_halves", lambda: from_pairs(2, [(0, 1)], [0, 1]), (2, 3, 4, 5)),
+    ("k4_cover",
+     lambda: sample_lift(complete_graph(4), 3, ModelSpec(), seed=4).cover,
+     (3, 4, 5)),
+])
+def test_walk_census_bytes_are_pinned(tmp_path, name, make, ks):
+    import hashlib
+    csv_path = tmp_path / "census.csv"
+    cat_path = tmp_path / "catalog.json"
+    write_walk_census(make(), ks, csv_path, cat_path)
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (csv_path, cat_path))
+    assert got == CENSUS_DIGESTS[name]
 
 
 def test_count_snbc_dfs_rejects_nonpositive_length():
