@@ -58,6 +58,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a margin or tolerance: finite and above zero."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _model_from_args(args) -> ModelSpec:
     return ModelSpec(kind=args.model, half_loop=args.half_loop)
 
@@ -205,6 +213,10 @@ def _lemma_rows(max_n: int):
 
 
 def cmd_verify_lemmas(args) -> int:
+    # the involution and binomial rows start at n = 2: below it they would
+    # pass without checking a case
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     rows = _lemma_rows(args.max_n)
     width = max(len(name) for name, _, _ in rows)
     failed = False
@@ -268,8 +280,8 @@ def build_parser() -> _Parser:
     add_model_args(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_finite_float, default=0.1)
-    p.add_argument("--tol", type=_finite_float, default=1e-7)
+    p.add_argument("--epsilon", type=_positive_float, default=0.1)
+    p.add_argument("--tol", type=_positive_float, default=1e-7)
     p.add_argument("--hashimoto", action="store_true",
                    help="include the dense Hashimoto spectrum")
     p.add_argument("--out")

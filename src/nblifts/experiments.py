@@ -165,9 +165,12 @@ class ExperimentConfig:
                 if not isinstance(strict, bool):
                     raise ConfigError(
                         f"tangle strict must be true or false, got {strict!r}")
-                tangle = TangleQuery(nu=_real(tangle_cfg["nu"], "tangle nu"),
-                                     r=_integer(tangle_cfg["r"], "tangle r"),
-                                     strict=strict)
+                nu = _real(tangle_cfg["nu"], "tangle nu")
+                r = _integer(tangle_cfg["r"], "tangle r")
+                try:
+                    tangle = TangleQuery(nu=nu, r=r, strict=strict)
+                except ValueError as exc:
+                    raise ConfigError(f"tangle: {exc}")
                 max_v = _integer(tangle_cfg.get("max_vertices", 6),
                                  "tangle max_vertices")
                 max_s = _integer(tangle_cfg.get("max_subgraphs", 4000),

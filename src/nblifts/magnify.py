@@ -14,7 +14,8 @@ are never spreaders, so magnification is the robust notion.
 Exhaustive checks enumerate all 2^n subsets with bit tricks and are capped
 at 20 vertices; beyond that, sampling draws uniform subsets plus adversarial
 seeds (BFS balls and single-fibre blocks) since imbalanced local sets are
-the likely violators.
+the likely violators.  Sampled candidates are int vertex masks, and a
+candidate's neighbourhood is the OR of its vertices' neighbour masks.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _check_ids
 from .lifts import Lift
 from .spectral import lambda2
 
@@ -78,8 +79,8 @@ def neighborhood(g: Graph, subset) -> set:
 
 def _neighbor_masks(g: Graph):
     masks = [0] * g.n
-    for e in range(g.num_directed):
-        masks[g.tail[e]] |= 1 << g.head[e]
+    for t, h in zip(g.tail, g.head):
+        masks[t] |= 1 << h
     return masks
 
 
@@ -128,50 +129,87 @@ def best_gamma_exhaustive(g: Graph):
     return best, witness
 
 
-def _bfs_balls(g: Graph, start: int, radius: int):
+# _BYTE_BITS[x]: the positions of the set bits of the byte x
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+
+
+def _mask_rows(g: Graph):
+    """g's neighbour masks in rows of eight: row i for vertices 8i..8i+7."""
+    masks = _neighbor_masks(g)
+    return [masks[i:i + 8] for i in range(0, g.n, 8)]
+
+
+def _mask_neighborhood(rows, u: int) -> int:
+    """Mask of the vertices joined by an edge to some vertex of mask u."""
+    out = 0
+    for row, byte in zip(rows, u.to_bytes(len(rows), "little")):
+        if byte:
+            for b in _BYTE_BITS[byte]:
+                out |= row[b]
+    return out
+
+
+def _members_mask(n: int, members) -> int:
+    """Vertex mask of a sequence of vertices below n."""
+    flags = np.zeros(n, dtype=bool)
+    flags[members] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
+
+
+def _bfs_balls(rows, start: int, radius: int):
     """The balls of radius 1, ..., radius around start, from one BFS."""
-    ball = {start}
-    frontier = {start}
+    ball = frontier = 1 << start
     for _ in range(radius):
-        frontier = neighborhood(g, frontier) - ball
+        frontier = _mask_neighborhood(rows, frontier) & ~ball
         ball |= frontier
-        yield frozenset(ball)
+        yield ball
 
 
 def _candidate_subsets(g: Graph, lo: int, hi: int, trials: int, rng,
-                       fibre_blocks=()):
-    seen = set()
+                       fibre_blocks=(), rows=None):
+    """Candidate sets U as vertex masks: fibre blocks, BFS balls, then
+    uniform draws.  rows are g's _mask_rows, when the caller has them."""
+    if rows is None:
+        rows = _mask_rows(g)
+    block_masks = []
     for blk in fibre_blocks:
-        blk = frozenset(blk)
-        if lo <= len(blk) <= hi and blk not in seen:
+        blk = list(blk)
+        _check_ids(blk, g.n, "vertex")
+        block_masks.append(_members_mask(g.n, blk))
+    seen = set()
+    for blk in block_masks:
+        if lo <= blk.bit_count() <= hi and blk not in seen:
             seen.add(blk)
             yield blk
     for v in range(min(g.n, trials)):
-        for ball in _bfs_balls(g, v, 3):
-            if lo <= len(ball) <= hi and ball not in seen:
+        for ball in _bfs_balls(rows, v, 3):
+            if lo <= ball.bit_count() <= hi and ball not in seen:
                 seen.add(ball)
                 yield ball
     count = 0
     while count < trials:
         size = int(rng.integers(lo, hi + 1))
-        u = frozenset(int(x) for x in rng.choice(g.n, size=size, replace=False))
+        u = _members_mask(g.n, rng.choice(g.n, size=size, replace=False))
         count += 1
         if u not in seen:
             seen.add(u)
             yield u
 
 
-def _check_subsets(g: Graph, gamma: float, subsets):
+def _check_subsets(rows, gamma: float, subsets):
     trials = 0
     best = None
     for u in subsets:
         trials += 1
-        outside = len(neighborhood(g, u) - u)
-        ratio = outside / len(u)
+        size = u.bit_count()
+        outside = (_mask_neighborhood(rows, u) & ~u).bit_count()
+        ratio = outside / size
         if best is None or ratio < best:
             best = ratio
-        if outside < gamma * len(u):
-            return MagnificationResult(False, u, "sampled", trials, best)
+        if outside < gamma * size:
+            witness = frozenset(v for v in range(u.bit_length()) if u >> v & 1)
+            return MagnificationResult(False, witness, "sampled", trials, best)
     return MagnificationResult(True, None, "sampled", trials, best)
 
 
@@ -214,8 +252,9 @@ def is_pseudo_magnifier(g: Graph, R: int, gamma: float, mode: str = "auto",
         return MagnificationResult(holds, witness, "exhaustive",
                                    1 << g.n, best)
     rng = np.random.default_rng(seed)
-    subsets = _candidate_subsets(g, R, hi, trials, rng, fibre_blocks)
-    return _check_subsets(g, gamma, subsets)
+    rows = _mask_rows(g)
+    subsets = _candidate_subsets(g, R, hi, trials, rng, fibre_blocks, rows)
+    return _check_subsets(rows, gamma, subsets)
 
 
 def lift_fibre_blocks(lift: Lift):

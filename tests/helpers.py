@@ -130,6 +130,65 @@ def reference_scan_tangles(g, query, max_vertices=8, max_subgraphs=50_000):
     return report
 
 
+def reference_sampled_magnifier(g, R, gamma, trials=200, seed=0,
+                                fibre_blocks=()):
+    """is_pseudo_magnifier(..., mode="sampled") on Python sets.
+
+    A test-only reference: candidate sets as frozensets, BFS balls and
+    neighbourhoods as set unions, the same draws from the same generator.
+    """
+    import numpy as np
+    from nblifts.magnify import MagnificationResult, check_magnifier_args, \
+        neighborhood
+
+    check_magnifier_args(R, gamma, "sampled", trials)
+    hi = g.n // 2
+    if hi < R:
+        return MagnificationResult(True, None, "exhaustive", 0, None)
+
+    def balls(start):
+        ball = {start}
+        frontier = {start}
+        for _ in range(3):
+            frontier = neighborhood(g, frontier) - ball
+            ball |= frontier
+            yield frozenset(ball)
+
+    def candidates(rng):
+        seen = set()
+        for blk in fibre_blocks:
+            blk = frozenset(blk)
+            if R <= len(blk) <= hi and blk not in seen:
+                seen.add(blk)
+                yield blk
+        for v in range(min(g.n, trials)):
+            for ball in balls(v):
+                if R <= len(ball) <= hi and ball not in seen:
+                    seen.add(ball)
+                    yield ball
+        count = 0
+        while count < trials:
+            size = int(rng.integers(R, hi + 1))
+            u = frozenset(int(x)
+                          for x in rng.choice(g.n, size=size, replace=False))
+            count += 1
+            if u not in seen:
+                seen.add(u)
+                yield u
+
+    checked = 0
+    best = None
+    for u in candidates(np.random.default_rng(seed)):
+        checked += 1
+        outside = len(neighborhood(g, u) - u)
+        ratio = outside / len(u)
+        if best is None or ratio < best:
+            best = ratio
+        if outside < gamma * len(u):
+            return MagnificationResult(False, u, "sampled", checked, best)
+    return MagnificationResult(True, None, "sampled", checked, best)
+
+
 def loop_adjacency_matrix(g):
     """The adjacency matrix built one directed edge at a time; test-only
     reference for the vectorised adjacency_matrix."""

@@ -118,6 +118,48 @@ def test_non_finite_real_options_exit_3(k4_path, capsys, command, option,
     assert f"argument {option}: must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("spectrum-lift", "--epsilon", "-1"),
+    ("spectrum-lift", "--epsilon", "0"),
+    ("spectrum-graph", "--tol", "-1"),
+    ("spectrum-graph", "--tol", "0"),
+])
+def test_nonpositive_margins_exit_3(k4_path, capsys, command, option, value):
+    # a negative epsilon counted pulled-back eigenvalues as non-Alon, and a
+    # tolerance of zero failed the Ihara check on a 7.8e-16 error, exit 0
+    argv = {
+        "spectrum-lift": ["spectrum", "--base", k4_path],
+        "spectrum-graph": ["spectrum", "--graph", k4_path],
+    }[command] + [f"{option}={value}"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be positive" in captured.err
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_tangle_scan_refuses_r_below_one(k4_path, capsys, r):
+    # no graph has order below 0, so the scan reported "no tangles" unseen
+    rc = main(["tangle-scan", "--graph", k4_path, "--nu", "1.8",
+               f"--r={r}"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-1"])
+def test_verify_lemmas_refuses_max_n_below_two(capsys, max_n):
+    # the exhaustive rows passed with no case checked
+    rc = main(["verify-lemmas", f"--max-n={max_n}"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n must be at least 2" in captured.err
+
+
 def test_verify_lemmas_cli(capsys):
     rc = main(["verify-lemmas", "--max-n", "20"])
     assert rc == 0

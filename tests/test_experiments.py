@@ -435,6 +435,11 @@ def test_config_rejects_fractional_tangle_r():
              tangle={"nu": 1.8, "r": 2.9})
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_config_rejects_tangle_r_below_one(r):
+    _refused("^tangle: r must be at least 1$", tangle={"nu": 1.8, "r": r})
+
+
 def test_config_rejects_fractional_tangle_max_vertices():
     _refused(r"tangle max_vertices must be an integer, got 6\.5",
              tangle={"nu": 1.8, "r": 2, "max_vertices": 6.5})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
     bouquet, complete_graph, cycle_graph, dipole, from_pairs,
@@ -264,6 +265,15 @@ def test_pseudo_magnifier_rejects_nonpositive_trials(mode, trials):
         is_pseudo_magnifier(cycle_graph(30), 1, 0.5, mode=mode, trials=trials)
 
 
+@pytest.mark.parametrize("bad", [-1, 30])
+def test_pseudo_magnifier_rejects_unknown_fibre_vertex(bad):
+    # a negative id used to index from the end: [-1, -2] was checked as a
+    # set with the neighbours of vertices 29 and 28
+    with pytest.raises(ValueError, match=f"unknown vertex {bad}"):
+        is_pseudo_magnifier(cycle_graph(30), 1, 1.5, mode="sampled",
+                            fibre_blocks=[[0, 1], [5, bad]])
+
+
 def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
     """Reference for _candidate_subsets: the same sequence, with one BFS
     from scratch for each radius 1, 2 and 3."""
@@ -310,9 +320,54 @@ def test_candidate_subsets_match_a_bfs_per_radius(graph, blocks, lo, trials):
     from nblifts.magnify import _candidate_subsets
     fibre = [list(range(i, graph.n, 3)) for i in range(3)] if blocks else []
     hi = graph.n // 2
-    got = list(_candidate_subsets(graph, lo, hi, trials,
-                                  np.random.default_rng(11), fibre))
+    got = [frozenset(v for v in range(graph.n) if u >> v & 1)
+           for u in _candidate_subsets(graph, lo, hi, trials,
+                                       np.random.default_rng(11), fibre)]
     want = _candidates_with_a_bfs_per_radius(
         graph, lo, hi, trials, np.random.default_rng(11), fibre)
     assert got == want
     assert len(got) > trials // 2
+
+
+@st.composite
+def _sampled_magnifier_cases(draw):
+    """A multigraph with whole-loops, half-loops, parallel edges and
+    isolated vertices, or a random cover of a small such base; plus fibre
+    blocks, some with repeated vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 70))
+        vertex = st.integers(0, n - 1)
+        g = from_pairs(n, draw(st.lists(st.tuples(vertex, vertex),
+                                        max_size=80)),
+                       draw(st.lists(vertex, max_size=6)))
+        blocks = []
+    else:
+        m = draw(st.integers(1, 4))
+        vertex = st.integers(0, m - 1)
+        base = from_pairs(m, draw(st.lists(st.tuples(vertex, vertex),
+                                           max_size=6)),
+                          draw(st.lists(vertex, max_size=2)))
+        degree = draw(st.integers(1, 20))
+        half_loop = (None if not base.has_half_loops()
+                     else "matching" if degree % 2 == 0 else "near_matching")
+        lift = sample_lift(base, degree, ModelSpec(half_loop=half_loop),
+                           draw(st.integers(0, 2**32 - 1)))
+        g = lift.cover
+        blocks = lift_fibre_blocks(lift) if draw(st.booleans()) else []
+    vertex = st.integers(0, g.n - 1)
+    blocks += draw(st.lists(st.lists(vertex, max_size=g.n), max_size=4))
+    return g, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sampled_magnifier_cases(), R=st.integers(1, 6),
+       gamma=st.floats(0.01, 3.0), trials=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_magnifier_matches_set_reference(case, R, gamma, trials,
+                                                 seed):
+    from helpers import reference_sampled_magnifier
+    g, blocks = case
+    got = is_pseudo_magnifier(g, R, gamma, mode="sampled", trials=trials,
+                              seed=seed, fibre_blocks=blocks)
+    want = reference_sampled_magnifier(g, R, gamma, trials, seed, blocks)
+    assert got == want

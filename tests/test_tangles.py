@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
     bouquet, complete_graph, cycle_graph, dipole, from_pairs, girth,
-    path_graph,
+    path_graph, subgraph_from_orbits,
 )
 from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.spectral import mu1
@@ -326,3 +326,118 @@ def test_scan_never_eigensolves_low_order_candidates(monkeypatch):
     want = reference_scan_tangles(lift.cover, query, 6, 400)
     assert report.to_json() == want.to_json()
     assert len(solved) < report.scanned
+
+
+@pytest.mark.parametrize("base, n, nu", [
+    (bouquet(2), 12, 1.2),
+    (bouquet(2), 12, 2.2012),
+    (complete_graph(4), 20, 1.8),
+])
+def test_scan_matches_reference_on_covers(monkeypatch, base, n, nu):
+    # finds in early seed trees and a cap that cuts a later one; the scan
+    # eigensolves each candidate of positive order that the reference
+    # reaches, once, and nothing else
+    from helpers import reference_scan_tangles
+    from nblifts import graphs, spectral, tangles
+    lift = sample_lift(base, n, ModelSpec(), seed=0)
+    query = TangleQuery(nu=nu, r=3)
+    made, solved = {}, []
+
+    def recording_subgraph(core, reps):
+        sub, verts, edges = subgraph_from_orbits(core, reps)
+        made[id(sub)] = (sub, frozenset(reps))
+        return sub, verts, edges
+
+    def recording_mu1(sub):
+        solved.append((made[id(sub)][1], sub.order()))
+        return mu1(sub)
+
+    for module in (graphs, tangles):
+        monkeypatch.setattr(module, "subgraph_from_orbits",
+                            recording_subgraph)
+    for module in (spectral, tangles):
+        monkeypatch.setattr(module, "mu1", recording_mu1)
+    for cap in (50, 400, 4000):
+        made.clear()
+        solved.clear()
+        got = scan_tangles(lift.cover, query, 6, cap)
+        got_solved = [orbits for orbits, _ in solved]
+        solved.clear()
+        want = reference_scan_tangles(lift.cover, query, 6, cap)
+        assert got.to_json() == want.to_json()
+        assert got.caps_hit
+        if nu == 1.2:
+            assert got.found
+        assert len(set(got_solved)) == len(got_solved)
+        assert set(got_solved) == {orbits for orbits, order in solved
+                                   if order > 0}
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_tangle_query_refuses_r_below_one(r):
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        TangleQuery(nu=1.8, r=r)
+
+
+def test_scan_of_a_large_core_stays_on_sets(monkeypatch):
+    from helpers import reference_scan_tangles
+    from nblifts import tangles
+
+    def no_masks(*args):
+        raise AssertionError("counted a tree on masks")
+
+    lift = sample_lift(complete_graph(4), 20, ModelSpec(), seed=0)
+    monkeypatch.setattr(tangles, "SCAN_MASK_ORBIT_CAP",
+                        lift.cover.num_edges - 1)
+    monkeypatch.setattr(tangles, "_tree_size", no_masks)
+    query = TangleQuery(nu=1.8, r=3)
+    got = scan_tangles(lift.cover, query, 6, 400)
+    assert got.to_json() == reference_scan_tangles(lift.cover, query, 6,
+                                                   400).to_json()
+
+
+def _brute_tree_size(core, reps, s, r, max_vertices):
+    """Connected orbit sets with lowest representative reps[s], at most
+    max_vertices vertices (the seed orbit alone is exempt, as in the scan)
+    and order below r, by trying every subset."""
+    from itertools import combinations
+    count = 0
+    later = range(s + 1, len(reps))
+    for k in range(len(later) + 1):
+        for extra in combinations(later, k):
+            edges = [reps[j] for j in (s, *extra)]
+            verts = {v for e in edges for v in (core.tail[e], core.head[e])}
+            if len(verts) > max_vertices and extra:
+                continue
+            if len(edges) - len(verts) >= r:
+                continue
+            reached = {core.tail[edges[0]]}
+            grew = True
+            while grew:
+                grew = False
+                for e in edges:
+                    ends = {core.tail[e], core.head[e]}
+                    if ends & reached and not ends <= reached:
+                        reached |= ends
+                        grew = True
+            count += reached == verts
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_small_multigraph(), r=st.integers(1, 3),
+       max_vertices=st.integers(1, 6))
+def test_tree_size_counts_each_connected_orbit_set_once(g, r, max_vertices):
+    from nblifts.graphs import prune_with_map
+    from nblifts.tangles import _orbit_masks, _tree_size
+    core, _, _ = prune_with_map(g)
+    reps = core.orientation()
+    masks = _orbit_masks(core, reps)
+    query = TangleQuery(nu=1e9, r=r)  # admits nothing
+    for s in range(len(reps)):
+        want = _brute_tree_size(core, reps, s, r, max_vertices)
+        assert _tree_size(core, reps, *masks, s, query, max_vertices, want,
+                          {}) == want
+        if want:
+            assert _tree_size(core, reps, *masks, s, query, max_vertices,
+                              want - 1, {}) is None
