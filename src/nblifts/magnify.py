@@ -130,7 +130,8 @@ def best_gamma_exhaustive(g: Graph):
 
 
 # _BYTE_BITS[x]: the positions of the set bits of the byte x
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1)
+                   for x in range(256))
 
 
 def _mask_rows(g: Graph):
@@ -166,12 +167,10 @@ def _bfs_balls(rows, start: int, radius: int):
         yield ball
 
 
-def _candidate_subsets(g: Graph, lo: int, hi: int, trials: int, rng,
-                       fibre_blocks=(), rows=None):
+def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
+                       fibre_blocks=()):
     """Candidate sets U as vertex masks: fibre blocks, BFS balls, then
-    uniform draws.  rows are g's _mask_rows, when the caller has them."""
-    if rows is None:
-        rows = _mask_rows(g)
+    uniform draws.  rows are g's _mask_rows."""
     block_masks = []
     for blk in fibre_blocks:
         blk = list(blk)
@@ -208,7 +207,8 @@ def _check_subsets(rows, gamma: float, subsets):
         if best is None or ratio < best:
             best = ratio
         if outside < gamma * size:
-            witness = frozenset(v for v in range(u.bit_length()) if u >> v & 1)
+            witness = frozenset(v for v in range(u.bit_length())
+                                if u >> v & 1)
             return MagnificationResult(False, witness, "sampled", trials, best)
     return MagnificationResult(True, None, "sampled", trials, best)
 
@@ -253,7 +253,7 @@ def is_pseudo_magnifier(g: Graph, R: int, gamma: float, mode: str = "auto",
                                    1 << g.n, best)
     rng = np.random.default_rng(seed)
     rows = _mask_rows(g)
-    subsets = _candidate_subsets(g, R, hi, trials, rng, fibre_blocks, rows)
+    subsets = _candidate_subsets(g, rows, R, hi, trials, rng, fibre_blocks)
     return _check_subsets(rows, gamma, subsets)
 
 

@@ -18,12 +18,6 @@ from .spectral import mu1
 
 MU1_TOL = 1e-9
 SCAN_VERTEX_CAP = 12
-# scan_tangles counts seed trees on bitmasks only in cores of at most this
-# many orbits: each mask operation takes time linear in the core's size and
-# the per-orbit masks hold orbits^2 bits.  With a 4000-candidate cap on K4,
-# K5 and bouquet(2) covers, masks took 0.52-0.59 of the set-based time at
-# 1500-2000 orbits, 0.85-0.98 at 3000-4000 and 1.15-1.8 at 4500-9000.
-SCAN_MASK_ORBIT_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -271,16 +265,6 @@ def check_scan_caps(max_vertices: int, max_subgraphs: int) -> None:
                          "(canonical forms would blow up factorially)")
 
 
-def _orbit_set(reps, mask):
-    """The representatives whose bits are set in mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(reps[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
-
-
 def _orbit_masks(core, reps):
     """For each orbit reps[j]: the mask of its end vertices, and the mask of
     the orbits touching them, itself included (bit i for reps[i])."""
@@ -294,8 +278,7 @@ def _orbit_masks(core, reps):
     return rep_vmask, rep_fmask
 
 
-def _tree_size(core, reps, rep_vmask, rep_fmask, s, query, max_vertices,
-               limit, solved):
+def _tree_size(rep_vmask, rep_fmask, s, r, max_vertices, limit):
     """Number of candidates grown from seed reps[s], or None.
 
     Enumerates the same orbit sets as scan_tangles' search, on int bitmasks
@@ -306,26 +289,21 @@ def _tree_size(core, reps, rep_vmask, rep_fmask, s, query, max_vertices,
     may still grow by).  A child takes over the parent's remaining
     extensions plus the orbits that first touch it through the new orbit.
 
-    None as soon as the count passes limit, or when a candidate of positive
-    order admits, since then the visit order decides what the report shows.
-    Those candidates are eigensolved only once the whole tree fits under
-    limit, and their mu1 values go into solved, keyed by orbit set; so the
-    scan eigensolves exactly the candidates the set-based search reaches.
+    None as soon as the count passes limit, or at the first candidate of
+    positive order: it needs an eigensolve and may be a find, and then the
+    visit order decides what the report shows.
     """
     above = -1 << (s + 1)
     stack = [(1 << s, rep_vmask[s], rep_fmask[s], rep_fmask[s] & above)]
     count = 0
-    positive = []
     while stack:
         orbits, verts, frontier, ext = stack.pop()
         order = orbits.bit_count() - verts.bit_count()
-        if order >= query.r:
+        if order >= r:
             continue
         count += 1
-        if count > limit:
+        if count > limit or order > 0:
             return None
-        if order > 0:
-            positive.append(orbits)
         while ext:
             low = ext & -ext
             ext ^= low
@@ -336,12 +314,6 @@ def _tree_size(core, reps, rep_vmask, rep_fmask, s, query, max_vertices,
             fresh = rep_fmask[j] & ~frontier & above
             stack.append((orbits | low, nv, frontier | rep_fmask[j],
                           ext | fresh))
-    for orbits in positive:
-        edge_set = _orbit_set(reps, orbits)
-        sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
-        solved[edge_set] = value = mu1(sub)
-        if query.admits(value):
-            return None
     return count
 
 
@@ -363,11 +335,10 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
     The candidates grown from one seed do not depend on the visit order:
     they are the connected orbit sets with that seed as lowest
     representative, within the vertex cap and of order below r.  When nu > 1
-    and the core has at most SCAN_MASK_ORBIT_CAP orbits, each seed's tree is
-    first counted on bitmasks; a tree that the subgraph cap does not cut and
-    that holds no find adds only its size to ``scanned``.  Visit order
-    matters only in the other trees, which the set-based enumeration below
-    runs, reusing the mu1 values already found.
+    each seed's tree is first counted on bitmasks; a tree that the subgraph
+    cap does not cut and that holds no candidate of positive order (none can
+    be a find) adds only its size to ``scanned``.  Visit order matters only
+    in the other trees, which the set-based enumeration below runs.
     """
     check_scan_caps(max_vertices, max_subgraphs)
     core, _, _ = prune_with_map(g)
@@ -383,16 +354,13 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
     seen_iso = set()
     # orders <= 0 have mu1 in {0, 1}; the margin covers eigensolver noise
     skip_low_order = not query.admits(1.0 + 1e-6)
-    on_masks = skip_low_order and len(reps) <= SCAN_MASK_ORBIT_CAP
-    if on_masks:
+    if skip_low_order:
         rep_vmask, rep_fmask = _orbit_masks(core, reps)
-    solved = {}
 
     for s, seed in enumerate(reps):
-        if on_masks:
-            size = _tree_size(core, reps, rep_vmask, rep_fmask, s, query,
-                              max_vertices, max_subgraphs - report.scanned,
-                              solved)
+        if skip_low_order:
+            size = _tree_size(rep_vmask, rep_fmask, s, query.r, max_vertices,
+                              max_subgraphs - report.scanned)
             if size is not None:
                 report.scanned += size
                 continue
@@ -409,9 +377,7 @@ def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
             report.scanned += 1
             if order > 0 or not skip_low_order:
                 sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
-                value = solved.get(edge_set)
-                if value is None:
-                    value = mu1(sub)
+                value = mu1(sub)
                 if query.admits(value):
                     try:
                         key = canonical_form(sub)

@@ -317,12 +317,13 @@ def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
     (from_pairs(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 6)]), False, 1, 8),
 ])
 def test_candidate_subsets_match_a_bfs_per_radius(graph, blocks, lo, trials):
-    from nblifts.magnify import _candidate_subsets
+    from nblifts.magnify import _candidate_subsets, _mask_rows
     fibre = [list(range(i, graph.n, 3)) for i in range(3)] if blocks else []
     hi = graph.n // 2
     got = [frozenset(v for v in range(graph.n) if u >> v & 1)
-           for u in _candidate_subsets(graph, lo, hi, trials,
-                                       np.random.default_rng(11), fibre)]
+           for u in _candidate_subsets(graph, _mask_rows(graph), lo, hi,
+                                       trials, np.random.default_rng(11),
+                                       fibre)]
     want = _candidates_with_a_bfs_per_radius(
         graph, lo, hi, trials, np.random.default_rng(11), fibre)
     assert got == want

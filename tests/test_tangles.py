@@ -379,29 +379,13 @@ def test_tangle_query_refuses_r_below_one(r):
         TangleQuery(nu=1.8, r=r)
 
 
-def test_scan_of_a_large_core_stays_on_sets(monkeypatch):
-    from helpers import reference_scan_tangles
-    from nblifts import tangles
-
-    def no_masks(*args):
-        raise AssertionError("counted a tree on masks")
-
-    lift = sample_lift(complete_graph(4), 20, ModelSpec(), seed=0)
-    monkeypatch.setattr(tangles, "SCAN_MASK_ORBIT_CAP",
-                        lift.cover.num_edges - 1)
-    monkeypatch.setattr(tangles, "_tree_size", no_masks)
-    query = TangleQuery(nu=1.8, r=3)
-    got = scan_tangles(lift.cover, query, 6, 400)
-    assert got.to_json() == reference_scan_tangles(lift.cover, query, 6,
-                                                   400).to_json()
-
-
 def _brute_tree_size(core, reps, s, r, max_vertices):
     """Connected orbit sets with lowest representative reps[s], at most
     max_vertices vertices (the seed orbit alone is exempt, as in the scan)
-    and order below r, by trying every subset."""
+    and order below r, by trying every subset; and whether one of them has
+    positive order."""
     from itertools import combinations
-    count = 0
+    count, positive = 0, False
     later = range(s + 1, len(reps))
     for k in range(len(later) + 1):
         for extra in combinations(later, k):
@@ -420,8 +404,10 @@ def _brute_tree_size(core, reps, s, r, max_vertices):
                     if ends & reached and not ends <= reached:
                         reached |= ends
                         grew = True
-            count += reached == verts
-    return count
+            if reached == verts:
+                count += 1
+                positive |= len(edges) > len(verts)
+    return count, positive
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,11 +419,9 @@ def test_tree_size_counts_each_connected_orbit_set_once(g, r, max_vertices):
     core, _, _ = prune_with_map(g)
     reps = core.orientation()
     masks = _orbit_masks(core, reps)
-    query = TangleQuery(nu=1e9, r=r)  # admits nothing
     for s in range(len(reps)):
-        want = _brute_tree_size(core, reps, s, r, max_vertices)
-        assert _tree_size(core, reps, *masks, s, query, max_vertices, want,
-                          {}) == want
+        want, positive = _brute_tree_size(core, reps, s, r, max_vertices)
+        got = _tree_size(*masks, s, r, max_vertices, want)
+        assert got == (None if positive else want)
         if want:
-            assert _tree_size(core, reps, *masks, s, query, max_vertices,
-                              want - 1, {}) is None
+            assert _tree_size(*masks, s, r, max_vertices, want - 1) is None
