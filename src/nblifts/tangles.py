@@ -11,6 +11,7 @@ means "none found within caps", never certified tangle-freeness.
 from dataclasses import dataclass, field
 from itertools import permutations
 import math
+import numbers
 
 from .graphs import Graph, _check_ids, _subgraph, bouquet, dipole, \
     from_pairs, prune_with_map, subgraph_from_orbits
@@ -30,10 +31,20 @@ class TangleQuery:
     tol: float = MU1_TOL
 
     def __post_init__(self):
+        # a non-finite nu admits nothing or everything, a fractional r acts
+        # as its ceiling and a negative tol inverts admits(nu): each would
+        # answer another query than the one asked
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu!r}")
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
+            raise ValueError(f"r must be an integer, got {self.r!r}")
         # with r < 1 no connected graph has order below r, so every scan
         # would report "no tangles" without looking
         if self.r < 1:
             raise ValueError("r must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(
+                f"tol must be finite and non-negative, got {self.tol!r}")
 
     def admits(self, value: float) -> bool:
         if self.strict:
@@ -278,128 +289,82 @@ def _orbit_masks(core, reps):
     return rep_vmask, rep_fmask
 
 
-def _tree_size(rep_vmask, rep_fmask, s, r, max_vertices, limit):
-    """Number of candidates grown from seed reps[s], or None.
-
-    Enumerates the same orbit sets as scan_tangles' search, on int bitmasks
-    (bit j stands for reps[j], or for vertex j), each exactly once by the
-    extension-set method of Wernicke (2006), so no visited set is kept.  A
-    candidate is its orbit mask, vertex mask, frontier mask (the orbits
-    touching its vertices, its own included) and extension mask (orbits it
-    may still grow by).  A child takes over the parent's remaining
-    extensions plus the orbits that first touch it through the new orbit.
-
-    None as soon as the count passes limit, or at the first candidate of
-    positive order: it needs an eigensolve and may be a find, and then the
-    visit order decides what the report shows.
-    """
-    above = -1 << (s + 1)
-    stack = [(1 << s, rep_vmask[s], rep_fmask[s], rep_fmask[s] & above)]
-    count = 0
-    while stack:
-        orbits, verts, frontier, ext = stack.pop()
-        order = orbits.bit_count() - verts.bit_count()
-        if order >= r:
-            continue
-        count += 1
-        if count > limit or order > 0:
-            return None
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            j = low.bit_length() - 1
-            nv = verts | rep_vmask[j]
-            if nv.bit_count() > max_vertices:
-                continue
-            fresh = rep_fmask[j] & ~frontier & above
-            stack.append((orbits | low, nv, frontier | rep_fmask[j],
-                          ext | fresh))
-    return count
-
-
 def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
                  max_subgraphs: int = 50_000) -> TangleReport:
     """Search connected subgraphs of the pruned core for tangles.
 
-    Grows connected orbit sets by edge addition, one enumeration per seed
-    orbit restricted to orbits with larger representatives, so each subgraph
-    appears exactly once.  Branches stop once the order reaches the query
-    bound (adding edges can only raise it) or the vertex cap is exceeded.
-    Found subgraphs are deduplicated up to isomorphism.
+    Candidates are connected orbit sets grown one orbit at a time by the
+    extension-set method of Wernicke (2006), so each set appears exactly
+    once and no visited set is kept.  Sets are int bitmasks (bit j for
+    reps[j], or for vertex j): a candidate carries its orbits, its
+    vertices, the orbits it has seen (those touching its vertices, and
+    every orbit from its seed up) and its extensions (orbits it may still
+    grow by).  Its children add one extension each; a child keeps the
+    extensions above its own orbit plus the unseen orbits its orbit
+    touches.
+
+    Visit order: the seed orbits, and then each candidate's children, are
+    pushed on a stack in ascending orbit index and popped last in, first
+    out.  A seed's tree holds the sets that contain it and no seed popped
+    before it, that is the sets with it as highest index.  This order
+    decides which candidates a capped scan reaches and which
+    representative a find keeps.
+
+    Branches stop once the order reaches the query bound (adding edges can
+    only raise it) or the vertex cap is exceeded.  Found subgraphs are
+    deduplicated up to isomorphism.
 
     A connected orbit set of order -1 is a tree (mu1 = 0) and one of order 0
     prunes to nothing or to a single cycle (mu1 = 0 or 1).  When the query
     cannot admit a value of 1, as for every nu > 1, such candidates are
     counted in ``scanned`` and grown but never materialised as graphs.
-
-    The candidates grown from one seed do not depend on the visit order:
-    they are the connected orbit sets with that seed as lowest
-    representative, within the vertex cap and of order below r.  When nu > 1
-    each seed's tree is first counted on bitmasks; a tree that the subgraph
-    cap does not cut and that holds no candidate of positive order (none can
-    be a find) adds only its size to ``scanned``.  Visit order matters only
-    in the other trees, which the set-based enumeration below runs.
     """
     check_scan_caps(max_vertices, max_subgraphs)
     core, _, _ = prune_with_map(g)
     report = TangleReport(query)
     reps = core.orientation()
-    if not reps:
-        return report
-    rep_verts = {r: {core.tail[r], core.head[r]} for r in reps}
-    vert_reps = {}
-    for r in reps:
-        for v in rep_verts[r]:
-            vert_reps.setdefault(v, set()).add(r)
+    rep_vmask, rep_fmask = _orbit_masks(core, reps)
     seen_iso = set()
     # orders <= 0 have mu1 in {0, 1}; the margin covers eigensolver noise
-    skip_low_order = not query.admits(1.0 + 1e-6)
-    if skip_low_order:
-        rep_vmask, rep_fmask = _orbit_masks(core, reps)
+    admits_one = query.admits(1.0 + 1e-6)
 
-    for s, seed in enumerate(reps):
-        if skip_low_order:
-            size = _tree_size(rep_vmask, rep_fmask, s, query.r, max_vertices,
-                              max_subgraphs - report.scanned)
-            if size is not None:
-                report.scanned += size
-                continue
-        stack = [(frozenset([seed]), frozenset(rep_verts[seed]))]
-        visited = {stack[0][0]}
+    for s in reversed(range(len(reps))):
+        below = (1 << s) - 1
+        stack = [(1 << s, rep_vmask[s], rep_fmask[s] | ~below,
+                  rep_fmask[s] & below)]
         while stack:
-            edge_set, verts = stack.pop()
-            order = len(edge_set) - len(verts)
+            orbits, verts, seen, ext = stack.pop()
+            order = orbits.bit_count() - verts.bit_count()
             if order >= query.r:
                 continue
             if report.scanned >= max_subgraphs:
                 report.caps_hit = True
                 return report
             report.scanned += 1
-            if order > 0 or not skip_low_order:
-                sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
+            if order > 0 or admits_one:
+                members, rest = [], orbits
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    members.append(reps[low.bit_length() - 1])
+                sub, _, _ = subgraph_from_orbits(core, members)
                 value = mu1(sub)
                 if query.admits(value):
                     try:
                         key = canonical_form(sub)
                     except TooSymmetricError:
                         # vertex-transitive finds are deduplicated by location
-                        key = ("weak", edge_set)
+                        key = ("weak", orbits)
                     if key not in seen_iso:
                         seen_iso.add(key)
                         report.found.append(
                             (sub, value, order, query.boundary_band(value)))
-            # grow by any adjacent orbit with a larger representative
-            frontier = set()
-            for v in verts:
-                frontier |= vert_reps[v]
-            for r in frontier - edge_set:
-                if r <= seed:
-                    continue
-                nv = verts | rep_verts[r]
-                if len(nv) > max_vertices:
-                    continue
-                ns = edge_set | {r}
-                if ns not in visited:
-                    visited.add(ns)
-                    stack.append((ns, frozenset(nv)))
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                j = low.bit_length() - 1
+                nv = verts | rep_vmask[j]
+                if nv.bit_count() <= max_vertices:
+                    stack.append((orbits | low, nv, seen | rep_fmask[j],
+                                  ext | (rep_fmask[j] & ~seen)))
     return report

@@ -74,8 +74,18 @@ def random_connected_multigraph(rng, max_vertices=6, max_extra=5,
 def reference_scan_tangles(g, query, max_vertices=8, max_subgraphs=50_000):
     """The tangle scan that materialises and eigensolves every candidate.
 
-    A test-only reference for scan_tangles: same enumeration order, caps and
-    deduplication, with no shortcut for candidates of order at most 0.
+    A test-only reference for scan_tangles on lists and sets, with no
+    bitmasks: the same caps and deduplication, and no shortcut for
+    candidates of order at most 0.  Orbits are numbered by their position
+    in core.orientation(), and each seed's tree (the connected sets with the
+    seed as highest index) is grown by the extension-set method of Wernicke
+    (2006).  A candidate keeps a sorted extension list; the child that adds
+    ext[i] keeps ext[i + 1:] plus the orbits below the seed that touch the
+    new orbit and touched no orbit of the candidate.
+
+    Visit order, the same as scan_tangles': the seeds, and then each
+    candidate's children, are pushed on a stack in ascending orbit index
+    and popped last in, first out.
     """
     from nblifts.graphs import prune_with_map, subgraph_from_orbits
     from nblifts.spectral import mu1
@@ -84,49 +94,40 @@ def reference_scan_tangles(g, query, max_vertices=8, max_subgraphs=50_000):
     core, _, _ = prune_with_map(g)
     report = TangleReport(query)
     reps = core.orientation()
-    if not reps:
-        return report
-    rep_verts = {r: {core.tail[r], core.head[r]} for r in reps}
-    vert_reps = {}
-    for r in reps:
-        for v in rep_verts[r]:
-            vert_reps.setdefault(v, set()).add(r)
+    ends = [{core.tail[r], core.head[r]} for r in reps]
+    touching = [{k for k, other in enumerate(ends) if other & mine}
+                for mine in ends]
     seen_iso = set()
-    for seed in reps:
-        stack = [(frozenset([seed]), frozenset(rep_verts[seed]))]
-        visited = {stack[0][0]}
+    for s in reversed(range(len(reps))):
+        stack = [([s], ends[s], touching[s],
+                  sorted(k for k in touching[s] if k < s))]
         while stack:
-            edge_set, verts = stack.pop()
-            if len(edge_set) - len(verts) >= query.r:
+            orbits, verts, frontier, ext = stack.pop()
+            if len(orbits) - len(verts) >= query.r:
                 continue
             if report.scanned >= max_subgraphs:
                 report.caps_hit = True
                 return report
             report.scanned += 1
-            sub, _, _ = subgraph_from_orbits(core, sorted(edge_set))
+            sub, _, _ = subgraph_from_orbits(core,
+                                             sorted(reps[j] for j in orbits))
             value = mu1(sub)
             if query.admits(value) and sub.order() < query.r:
                 try:
                     key = canonical_form(sub)
                 except TooSymmetricError:
-                    key = ("weak", edge_set)
+                    key = ("weak", frozenset(orbits))
                 if key not in seen_iso:
                     seen_iso.add(key)
                     report.found.append(
                         (sub, value, sub.order(), query.boundary_band(value)))
-            frontier = set()
-            for v in verts:
-                frontier |= vert_reps[v]
-            for r in frontier - edge_set:
-                if r <= seed:
-                    continue
-                nv = verts | rep_verts[r]
+            for i, j in enumerate(ext):
+                nv = verts | ends[j]
                 if len(nv) > max_vertices:
                     continue
-                ns = edge_set | {r}
-                if ns not in visited:
-                    visited.add(ns)
-                    stack.append((ns, frozenset(nv)))
+                fresh = {k for k in touching[j] - frontier if k < s}
+                stack.append((orbits + [j], nv, frontier | touching[j],
+                              sorted(fresh.union(ext[i + 1:]))))
     return report
 
 

@@ -379,13 +379,28 @@ def test_tangle_query_refuses_r_below_one(r):
         TangleQuery(nu=1.8, r=r)
 
 
-def _brute_tree_size(core, reps, s, r, max_vertices):
+@pytest.mark.parametrize("kwargs, match", [
+    ({"nu": math.nan, "r": 3}, "nu must be finite"),
+    ({"nu": math.inf, "r": 3}, "nu must be finite"),
+    ({"nu": -math.inf, "r": 3}, "nu must be finite"),
+    ({"nu": 1.8, "r": 2.5}, "r must be an integer"),
+    ({"nu": 1.8, "r": 3.0}, "r must be an integer"),
+    ({"nu": 1.8, "r": True}, "r must be an integer"),
+    ({"nu": 1.8, "r": 3, "tol": -1.0}, "tol must be finite"),
+    ({"nu": 1.8, "r": 3, "tol": math.inf}, "tol must be finite"),
+    ({"nu": 1.8, "r": 3, "tol": math.nan}, "tol must be finite"),
+])
+def test_tangle_query_refuses_vacuous_or_inverted_queries(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        TangleQuery(**kwargs)
+
+
+def _brute_tree_sets(core, reps, s, r, max_vertices):
     """Connected orbit sets with lowest representative reps[s], at most
     max_vertices vertices (the seed orbit alone is exempt, as in the scan)
-    and order below r, by trying every subset; and whether one of them has
-    positive order."""
+    and order below r, by trying every subset."""
     from itertools import combinations
-    count, positive = 0, False
+    found = []
     later = range(s + 1, len(reps))
     for k in range(len(later) + 1):
         for extra in combinations(later, k):
@@ -405,23 +420,66 @@ def _brute_tree_size(core, reps, s, r, max_vertices):
                         reached |= ends
                         grew = True
             if reached == verts:
-                count += 1
-                positive |= len(edges) > len(verts)
-    return count, positive
+                found.append(frozenset(edges))
+    return found
+
+
+def _brute_candidates(g, r, max_vertices):
+    """(pruned core, every connected orbit set that scan_tangles must visit)."""
+    from nblifts.graphs import prune_with_map
+    core, _, _ = prune_with_map(g)
+    reps = core.orientation()
+    return core, [orbits for s in range(len(reps))
+                  for orbits in _brute_tree_sets(core, reps, s, r,
+                                                 max_vertices)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(g=_small_multigraph(), r=st.integers(1, 3),
        max_vertices=st.integers(1, 6))
-def test_tree_size_counts_each_connected_orbit_set_once(g, r, max_vertices):
-    from nblifts.graphs import prune_with_map
-    from nblifts.tangles import _orbit_masks, _tree_size
-    core, _, _ = prune_with_map(g)
-    reps = core.orientation()
-    masks = _orbit_masks(core, reps)
-    for s in range(len(reps)):
-        want, positive = _brute_tree_size(core, reps, s, r, max_vertices)
-        got = _tree_size(*masks, s, r, max_vertices, want)
-        assert got == (None if positive else want)
-        if want:
-            assert _tree_size(*masks, s, r, max_vertices, want - 1) is None
+def test_scan_visits_each_connected_orbit_set_once(g, r, max_vertices):
+    # nu 0.5 admits 1, so every candidate is built
+    from nblifts import tangles
+    built = []
+
+    def recording_subgraph(core, reps):
+        built.append(frozenset(reps))
+        return subgraph_from_orbits(core, reps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tangles, "subgraph_from_orbits", recording_subgraph)
+        # a core of at most 12 orbits has fewer than 2**12 orbit sets
+        report = scan_tangles(g, TangleQuery(nu=0.5, r=r), max_vertices,
+                              2**12)
+    _, want = _brute_candidates(g, r, max_vertices)
+    assert not report.caps_hit
+    assert len(set(built)) == len(built) == report.scanned
+    assert set(built) == set(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=_small_multigraph(),
+    nu=st.one_of(st.sampled_from(_NUS), st.floats(0.2, 3.5)),
+    r=st.integers(1, 3),
+    strict=st.booleans(),
+    max_vertices=st.integers(1, 6),
+    max_subgraphs=st.integers(1, 60),
+)
+def test_uncapped_scan_matches_brute_force(g, nu, r, strict, max_vertices,
+                                           max_subgraphs):
+    # visit order decides only what a capped scan reports
+    query = TangleQuery(nu=nu, r=r, strict=strict)
+    report = scan_tangles(g, query, max_vertices, max_subgraphs)
+    core, sets = _brute_candidates(g, r, max_vertices)
+    assert report.caps_hit == (len(sets) > max_subgraphs)
+    if report.caps_hit:
+        return
+    finds = set()
+    for orbits in sets:
+        sub, _, _ = subgraph_from_orbits(core, sorted(orbits))
+        if query.admits(mu1(sub)):
+            finds.add(canonical_form(sub))
+    assert report.scanned == len(sets)
+    assert report.has_tangles() == bool(finds)
+    assert {canonical_form(sub) for sub, *_ in report.found} == finds
