@@ -57,14 +57,13 @@ class EntropyEstimate:
         return cls(a, b, hv, lb, abs(lb - a * hv))
 
 
-def fit_entropy_constant(a_values, samples_per_a: int = 33) -> float:
-    """Smallest K with residual <= K log2(a) over the sampled grid."""
+def fit_entropy_constant(a_values) -> float:
+    """Smallest K with residual <= K log2(a), b on a 33-point grid."""
     worst = 0.0
     for a in a_values:
         if a < 2:
             continue
-        bs = sorted({round(a * i / (samples_per_a - 1))
-                     for i in range(samples_per_a)} | {1, a - 1})
+        bs = sorted({round(a * i / 32) for i in range(33)} | {1, a - 1})
         for b in bs:
             est = EntropyEstimate.compute(a, b)
             worst = max(worst, est.residual / math.log2(a))
@@ -172,13 +171,13 @@ def entropy_gap(C: float, theta: float, x: float) -> float:
     return h2(x) / C - h2(theta * x)
 
 
-def binom_estimate_witness(C: float, j: int, max_doublings: int = 24):
+def binom_estimate_witness(C: float, j: int):
     """Constructive (theta, S0, n0) making C(n,s') <= n^-j C(n,s)^(1/C).
 
     theta is at most min(1/(2C), 1/4) and small enough that the entropy gap
-    is positive at x = 3/4; S0 exceeds (j + 4)/(1/C - theta); n0 is found by
-    doubling until the inequality verifies on the (n, s, s') grid with
-    n in {n0, 2 n0, 4 n0}.  The witness is constructive, not minimal.
+    is positive at x = 3/4; S0 exceeds (j + 4)/(1/C - theta); n0 doubles,
+    at most 24 times, until the inequality verifies on the (n, s, s') grid
+    with n in {n0, 2 n0, 4 n0}.  The witness is constructive, not minimal.
     """
     if C <= 0 or j < 1:
         raise ValueError("need C > 0 and j >= 1")
@@ -190,7 +189,7 @@ def binom_estimate_witness(C: float, j: int, max_doublings: int = 24):
     j_pad = j + 4
     s0 = math.floor(j_pad / (1.0 / C - theta)) + 1
     n0 = max(4 * s0, 64)
-    for _ in range(max_doublings):
+    for _ in range(24):
         ok, _ = verify_binom_estimate(C, j, theta, s0, n0)
         if ok:
             return theta, s0, n0

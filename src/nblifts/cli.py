@@ -25,19 +25,17 @@ from .bounds import (
     perm_containment_prob,
     verify_binom_estimate,
 )
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    conditioned_rows,
-    run_experiment,
-    write_rows_csv,
-)
-from .graphs import GraphFormatError, graph_to_json, load_graph, save_graph
-from .lifts import ModelError, ModelSpec, sample_lift
-from .magnify import MODES, is_pseudo_magnifier
-from .spectral import SpectralError, adjacency_spectrum, ihara_check, \
-    is_ramanujan, mu1, spectral_report
-from .tangles import TangleQuery, scan_tangles
+from .experiments import ConfigError, ExperimentConfig, conditioned_rows, \
+    run_experiment
+from .graphs import GraphFormatError, load_graph, save_graph, write_json
+from .lifts import HALF_LOOP_RULES, MODEL_KINDS, ModelError, ModelSpec, \
+    sample_lift
+from .magnify import DEFAULT_MODE, DEFAULT_SEED, DEFAULT_TRIALS, \
+    MAGNIFIER_R, MODES, is_pseudo_magnifier
+from .spectral import MULTIPLICITY_TOL, SpectralError, adjacency_spectrum, \
+    ihara_check, is_ramanujan, mu1, spectral_report
+from .tangles import SCAN_MAX_SUBGRAPHS, SCAN_MAX_VERTICES, TangleQuery, \
+    scan_tangles
 
 
 class VerificationFailure(RuntimeError):
@@ -51,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite_float(text: str) -> float:
     """argparse type for a real option: nan and the infinities, which float()
-    accepts and json.dumps would print as NaN or Infinity, are refused."""
+    accepts and the JSON writer would print as NaN or Infinity, are refused."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
@@ -82,7 +80,7 @@ def cmd_sample(args) -> int:
     if args.out:
         save_graph(lift.cover, args.out)
         summary["out"] = args.out
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    write_json(summary)
     return 0
 
 
@@ -108,12 +106,7 @@ def cmd_spectrum(args) -> int:
         res = ihara_check(g, args.tol)
         payload["ihara"] = {"status": res.status, "passed": res.passed,
                             "max_err": res.max_err}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_json(payload, args.out)
     return 0
 
 
@@ -122,12 +115,7 @@ def cmd_tangle_scan(args) -> int:
     query = TangleQuery(nu=args.nu, r=args.r, strict=args.strict)
     report = scan_tangles(g, query, max_vertices=args.max_vertices,
                           max_subgraphs=args.max_subgraphs)
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_json(report.to_json(), args.out)
     return 0
 
 
@@ -142,7 +130,7 @@ def cmd_magnify_check(args) -> int:
         "best_gamma_seen": result.best_gamma,
         "witness": sorted(result.witness) if result.witness else None,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(payload)
     return 0
 
 
@@ -239,18 +227,14 @@ def cmd_experiment(args) -> int:
     if args.conditioned and cfg.tangle is None:
         raise ConfigError("--conditioned requires a tangle query in the config")
     report = run_experiment(cfg)
-    payload = report.to_json()
     if args.conditioned:
-        payload["conditioned_rows"] = conditioned_rows(cfg, report.records)
+        report.conditioned = conditioned_rows(cfg, report.records)
     out = args.out or data.get("output")
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out + ".json", "w") as fh:
-            fh.write(text + "\n")
-        write_rows_csv(report.rows, out + ".csv")
+        report.dump(out + ".json", out + ".csv")
         print(f"wrote {out}.json and {out}.csv")
     else:
-        print(text)
+        write_json(report.to_json())
     return 0
 
 
@@ -261,10 +245,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--model", choices=("permutation", "cyclic"),
-                       default="permutation")
-        p.add_argument("--half-loop", choices=("matching", "near_matching"),
-                       default=None)
+        p.add_argument("--model", choices=MODEL_KINDS, default=ModelSpec.kind)
+        p.add_argument("--half-loop",
+                       choices=[r for r in HALF_LOOP_RULES if r is not None])
 
     p = sub.add_parser("sample", help="sample a random cover")
     p.add_argument("--base", required=True)
@@ -281,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=0.1)
-    p.add_argument("--tol", type=_positive_float, default=1e-7)
+    p.add_argument("--tol", type=_positive_float, default=MULTIPLICITY_TOL)
     p.add_argument("--hashimoto", action="store_true",
                    help="include the dense Hashimoto spectrum")
     p.add_argument("--out")
@@ -292,18 +275,18 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=_finite_float, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-subgraphs", type=int, default=50000)
+    p.add_argument("--max-vertices", type=int, default=SCAN_MAX_VERTICES)
+    p.add_argument("--max-subgraphs", type=int, default=SCAN_MAX_SUBGRAPHS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tangle_scan)
 
     p = sub.add_parser("magnify-check", help="vertex-expansion check")
     p.add_argument("--graph", required=True)
-    p.add_argument("--R", type=int, default=1)
+    p.add_argument("--R", type=int, default=MAGNIFIER_R)
     p.add_argument("--gamma", type=_finite_float, required=True)
-    p.add_argument("--mode", choices=MODES, default="auto")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_magnify_check)
 
     p = sub.add_parser("verify-lemmas", help="pass/fail table of counting bounds")

@@ -11,7 +11,6 @@ mislead at the counts seen here.
 
 from dataclasses import dataclass, field
 import csv
-import json
 import math
 import numbers
 import platform
@@ -21,10 +20,12 @@ import numpy as np
 
 from . import __version__
 from .graphs import Graph, check_keys, graph_from_json, graph_to_json, \
-    load_graph
+    load_graph, write_json
 from .lifts import ModelSpec, sample_lift, validate_model
 from .magnify import (
+    DEFAULT_MODE,
     EXHAUSTIVE_VERTEX_CAP,
+    MAGNIFIER_R,
     check_magnifier_args,
     is_pseudo_magnifier,
     lift_fibre_blocks,
@@ -50,6 +51,7 @@ CONFIG_KEYS = ("base", "model", "degrees", "trials", "epsilon", "seed",
                "tangle", "magnifier", "output", "spectrum_tol")
 TANGLE_KEYS = ("nu", "r", "strict", "max_vertices", "max_subgraphs")
 MAGNIFIER_KEYS = ("R", "gamma", "mode", "trials")
+WILSON_Z = 1.96  # normal quantile of the 95% Wilson intervals
 
 
 def _integer(value, name: str) -> int:
@@ -73,8 +75,9 @@ def _real(value, name: str) -> float:
 
 def _magnifier_args(m: dict):
     """(R, gamma, mode, trials) of a magnifier block, defaults filled in."""
-    return (_integer(m.get("R", 1), "R"), _real(m["gamma"], "gamma"),
-            m.get("mode", "auto"), _integer(m.get("trials", 100), "trials"))
+    return (_integer(m.get("R", MAGNIFIER_R), "R"),
+            _real(m["gamma"], "gamma"), m.get("mode", DEFAULT_MODE),
+            _integer(m.get("trials", 100), "trials"))
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,10 @@ class ExperimentConfig:
             model = ModelSpec.from_json(data.get("model", {}))
             tangle_cfg = data.get("tangle")
             tangle = None
-            max_v, max_s = 6, 4000
+            caps = {}  # the absent ones keep the dataclass defaults
             if tangle_cfg is not None:
                 check_keys(tangle_cfg, TANGLE_KEYS, "tangle", ConfigError)
-                strict = tangle_cfg.get("strict", False)
+                strict = tangle_cfg.get("strict", TangleQuery.strict)
                 if not isinstance(strict, bool):
                     raise ConfigError(
                         f"tangle strict must be true or false, got {strict!r}")
@@ -171,10 +174,10 @@ class ExperimentConfig:
                     tangle = TangleQuery(nu=nu, r=r, strict=strict)
                 except ValueError as exc:
                     raise ConfigError(f"tangle: {exc}")
-                max_v = _integer(tangle_cfg.get("max_vertices", 6),
-                                 "tangle max_vertices")
-                max_s = _integer(tangle_cfg.get("max_subgraphs", 4000),
-                                 "tangle max_subgraphs")
+                for key in ("max_vertices", "max_subgraphs"):
+                    if key in tangle_cfg:
+                        caps["tangle_" + key] = _integer(tangle_cfg[key],
+                                                         "tangle " + key)
             return cls(
                 base=base,
                 model=model,
@@ -183,9 +186,8 @@ class ExperimentConfig:
                 epsilon=_real(data["epsilon"], "epsilon"),
                 seed=_integer(data.get("seed", 0), "seed"),
                 tangle=tangle,
-                tangle_max_vertices=max_v,
-                tangle_max_subgraphs=max_s,
                 magnifier=data.get("magnifier"),
+                **caps,
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}")
@@ -196,20 +198,20 @@ def trial_seed(seed: int, n: int, t: int) -> int:
     return int(np.random.SeedSequence([seed, n, t]).generate_state(1)[0])
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96):
+def wilson_interval(k: int, n: int):
     """Wilson score interval for k successes out of n."""
     if n == 0:
         return 0.0, 1.0
     p = k / n
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / n
     center = (p + z2 / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
+    half = WILSON_Z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def wilson_center(k: int, n: int, z: float = 1.96) -> float:
-    z2 = z * z
+def wilson_center(k: int, n: int) -> float:
+    z2 = WILSON_Z * WILSON_Z
     return (k + z2 / 2) / (n + z2)
 
 
@@ -335,9 +337,11 @@ class ExperimentReport:
     errors: list = field(default_factory=list)
     # TrialRecords of the trials that completed, by degree; not serialised
     records: dict = field(default_factory=dict, repr=False)
+    # conditioned_rows of the records, serialised when set
+    conditioned: list | None = field(default=None, init=False, repr=False)
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "config": self.config.to_json(),
             "rows": self.rows,
             "slope_fit": self.slope_fit,
@@ -349,12 +353,12 @@ class ExperimentReport:
                 "numpy": np.__version__,
             },
         }
+        if self.conditioned is not None:
+            payload["conditioned_rows"] = self.conditioned
+        return payload
 
     def dump(self, json_path, csv_path=None):
-        text = json.dumps(self.to_json(), indent=2, sort_keys=True)
-        with open(json_path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_json(self.to_json(), json_path)
         if csv_path:
             write_rows_csv(self.rows, csv_path)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 import math
+import sys
 
 
 class GraphFormatError(ValueError):
@@ -515,7 +516,16 @@ def load_graph(path) -> Graph:
     return graph_from_json(data)
 
 
+def write_json(payload, path=None):
+    """The package's one JSON writer: indent 2, sorted keys, final newline;
+    to path, or to stdout when path is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def save_graph(g: Graph, path):
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(graph_to_json(g), path)

@@ -65,7 +65,7 @@ class ModelSpec:
     @classmethod
     def from_json(cls, data: dict) -> "ModelSpec":
         check_keys(data, MODEL_KEYS, "model", ModelError)
-        spec = cls(kind=data.get("model", "permutation"),
+        spec = cls(kind=data.get("model", cls.kind),
                    half_loop=data.get("half_loop"))
         declared = data.get("parity")
         if declared is not None and declared != spec.parity:

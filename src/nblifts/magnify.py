@@ -29,6 +29,10 @@ from .spectral import lambda2
 
 EXHAUSTIVE_VERTEX_CAP = 20
 MODES = ("auto", "exhaustive", "sampled")
+MAGNIFIER_R = 1  # a magnifier is a pseudo-magnifier with R = 1; R's default
+DEFAULT_MODE = "auto"  # a check's defaults: mode, sampled subsets, seed
+DEFAULT_TRIALS = 200
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -213,10 +217,10 @@ def _check_subsets(rows, gamma: float, subsets):
     return MagnificationResult(True, None, "sampled", trials, best)
 
 
-def is_magnifier(g: Graph, gamma: float, mode: str = "auto",
-                 trials: int = 200, seed=0, fibre_blocks=()) -> MagnificationResult:
-    """Test the expansion inequality over all U with |U| <= |V|/2."""
-    return is_pseudo_magnifier(g, 1, gamma, mode, trials, seed, fibre_blocks)
+def is_magnifier(g: Graph, gamma: float, **options) -> MagnificationResult:
+    """Test the expansion inequality over all U with |U| <= |V|/2; options
+    as for is_pseudo_magnifier."""
+    return is_pseudo_magnifier(g, MAGNIFIER_R, gamma, **options)
 
 
 def check_magnifier_args(R: int, gamma: float, mode: str,
@@ -237,8 +241,9 @@ def check_magnifier_args(R: int, gamma: float, mode: str,
         raise ValueError("trials must be at least 1")
 
 
-def is_pseudo_magnifier(g: Graph, R: int, gamma: float, mode: str = "auto",
-                        trials: int = 200, seed=0,
+def is_pseudo_magnifier(g: Graph, R: int, gamma: float,
+                        mode: str = DEFAULT_MODE, trials: int = DEFAULT_TRIALS,
+                        seed=DEFAULT_SEED,
                         fibre_blocks=()) -> MagnificationResult:
     """Like is_magnifier, restricted to the window R <= |U| <= |V|/2."""
     check_magnifier_args(R, gamma, mode, trials)
@@ -272,8 +277,8 @@ def alon_gap_bound(d: int, gamma: float) -> float:
     return d - gamma * gamma / (4 + 2 * gamma * gamma)
 
 
-def alon_gap_check(g: Graph, gamma: float, tol: float = 1e-8) -> bool:
-    """lambda_2 <= d - gamma^2/(4 + 2 gamma^2) + tol, premise verified first.
+def alon_gap_check(g: Graph, gamma: float) -> bool:
+    """lambda_2 <= d - gamma^2/(4 + 2 gamma^2) + 1e-8, premise verified first.
 
     The premise (g is d-regular and a gamma-magnifier) is established by an
     exhaustive scan, so g must fit under the exhaustive vertex cap.
@@ -286,7 +291,7 @@ def alon_gap_check(g: Graph, gamma: float, tol: float = 1e-8) -> bool:
         raise ValueError(
             f"premise unverified: not a {gamma}-magnifier "
             f"(witness {sorted(result.witness)})")
-    return lambda2(g) <= alon_gap_bound(d, gamma) + tol
+    return lambda2(g) <= alon_gap_bound(d, gamma) + 1e-8
 
 
 def imbalance_rate(eps: float, base_vertices: int) -> float:

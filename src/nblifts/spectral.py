@@ -27,6 +27,7 @@ from .graphs import Graph, nb_successors, prune
 from .lifts import Lift
 
 DENSE_HASHIMOTO_CAP = 4000
+MULTIPLICITY_TOL = 1e-7  # relative; groups eigenvalues into pairs
 # Covers with at least this many vertices get their extreme new adjacency
 # eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms of
 # new_eigenvalues / lanczos_new_extremes over lifts of K5, K4, bouquet(2)
@@ -117,14 +118,13 @@ def hashimoto_spectrum(g: Graph) -> np.ndarray:
     return np.asarray(_sorted_tuple(np.linalg.eigvals(_dense_hashimoto(g))))
 
 
-def _power_spectral_radius(g: Graph, tol: float = 1e-12,
-                           max_iter: int = 100000) -> float:
+def _power_spectral_radius(g: Graph, max_iter: int = 100000) -> float:
     """Perron root of H via power iteration on H + I.
 
     The identity shift removes the periodicity that stalls plain power
     iteration on bipartite-like transition structures; the shift moves the
-    Perron root by exactly one.  Raises SpectralError when the iterate has
-    not converged after max_iter steps.
+    Perron root by exactly one.  Raises SpectralError unless successive
+    norms agree to 1e-12 relative within max_iter steps.
     """
     m = g.num_directed
     src = []
@@ -142,7 +142,7 @@ def _power_spectral_radius(g: Graph, tol: float = 1e-12,
         if norm == 0:
             return 0.0
         y /= norm
-        if abs(norm - lam) <= tol * max(1.0, norm):
+        if abs(norm - lam) <= 1e-12 * max(1.0, norm):
             return norm - 1.0
         lam, x = norm, y
     raise SpectralError(
@@ -174,7 +174,7 @@ class SpectrumMultiset:
     """Eigenvalues with the tolerance used for multiset operations."""
 
     values: tuple
-    tolerance: float = 1e-7
+    tolerance: float = MULTIPLICITY_TOL
 
     def __len__(self):
         return len(self.values)
@@ -267,7 +267,7 @@ def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
 
 
 def new_spectrum(lift: Lift, which: str = "adjacency",
-                 tol: float = 1e-7) -> SpectrumMultiset:
+                 tol: float = MULTIPLICITY_TOL) -> SpectrumMultiset:
     """New eigenvalues as a multiset; tol only groups multiplicity pairs."""
     return SpectrumMultiset(_sorted_tuple(new_eigenvalues(lift, which)), tol)
 
@@ -504,22 +504,22 @@ def non_alon_count(lift: Lift, eps: float) -> int:
         new_adjacency_extremes(lift, alon_threshold(d, eps)), d, eps)
 
 
-def is_ramanujan(g: Graph, tol: float = 1e-9) -> bool:
-    """d-regular with every adjacency eigenvalue in the extremal set or bulk."""
+def is_ramanujan(g: Graph) -> bool:
+    """d-regular with every adjacency eigenvalue within 1e-9 (absolute) of
+    the extremal set {d, -d} or of the bulk [-2 sqrt(d-1), 2 sqrt(d-1)]."""
     d = g.regular_degree()
     if d is None:
         raise ValueError("Ramanujan test requires a regular graph")
     bulk = alon_threshold(d)
-    for lam in adjacency_spectrum(g):
-        if abs(lam - d) <= tol or abs(lam + d) <= tol or abs(lam) <= bulk + tol:
-            continue
-        return False
-    return True
+    tol = 1e-9
+    return all(abs(lam - d) <= tol or abs(lam + d) <= tol
+               or abs(lam) <= bulk + tol for lam in adjacency_spectrum(g))
 
 
 @dataclass(frozen=True)
 class IharaResult:
-    status: str  # "checked", "skipped-nonregular", "skipped-half-loop"
+    status: str  # "checked", "skipped-nonregular", "skipped-half-loop",
+    # or "skipped-too-large" (above DENSE_HASHIMOTO_CAP directed edges)
     passed: bool | None
     max_err: float | None = None
 
@@ -536,6 +536,8 @@ def ihara_check(g: Graph, tol: float = 1e-6) -> IharaResult:
         return IharaResult("skipped-nonregular", None)
     if g.has_half_loops():
         return IharaResult("skipped-half-loop", None)
+    if g.num_directed > DENSE_HASHIMOTO_CAP:
+        return IharaResult("skipped-too-large", None)
     lams = adjacency_spectrum(g)
     expected = []
     q = d - 1
@@ -601,7 +603,7 @@ class SpectralReport:
         }
 
 
-def spectral_report(lift: Lift, eps: float, tol: float = 1e-7,
+def spectral_report(lift: Lift, eps: float, tol: float = MULTIPLICITY_TOL,
                     with_hashimoto: bool = False) -> SpectralReport:
     """Cover spectra reported as base plus new; tol groups multiplicities."""
     d = lift.base.regular_degree()

@@ -19,6 +19,8 @@ from .spectral import mu1
 
 MU1_TOL = 1e-9
 SCAN_VERTEX_CAP = 12
+SCAN_MAX_VERTICES = 8  # scan_tangles' default caps
+SCAN_MAX_SUBGRAPHS = 50_000
 
 
 @dataclass(frozen=True)
@@ -200,22 +202,21 @@ def _refined_classes(g: Graph):
     return [classes[key] for key in sorted(classes)]
 
 
-def canonical_form(g: Graph, max_vertices: int = 12,
-                   labeling_budget: int = 200_000):
+def canonical_form(g: Graph):
     """Lexicographically minimal orbit encoding over class-respecting relabelings.
 
     Vertex classes come from iterated neighbour-signature refinement, which
     collapses the search for everything but genuinely vertex-transitive
     graphs; those raise TooSymmetricError once the number of labelings
-    would exceed the budget.
+    would exceed 200 000.
     """
-    if g.n > max_vertices:
-        raise ValueError(f"canonical_form capped at {max_vertices} vertices")
+    if g.n > SCAN_VERTEX_CAP:
+        raise ValueError(f"canonical_form capped at {SCAN_VERTEX_CAP} vertices")
     classes = _refined_classes(g)
     total = 1
     for cls in classes:
         total *= math.factorial(len(cls))
-        if total > labeling_budget:
+        if total > 200_000:
             raise TooSymmetricError(
                 f"{total}+ class-respecting labelings exceed the budget")
 
@@ -289,8 +290,9 @@ def _orbit_masks(core, reps):
     return rep_vmask, rep_fmask
 
 
-def scan_tangles(g: Graph, query: TangleQuery, max_vertices: int = 8,
-                 max_subgraphs: int = 50_000) -> TangleReport:
+def scan_tangles(g: Graph, query: TangleQuery,
+                 max_vertices: int = SCAN_MAX_VERTICES,
+                 max_subgraphs: int = SCAN_MAX_SUBGRAPHS) -> TangleReport:
     """Search connected subgraphs of the pruned core for tangles.
 
     Candidates are connected orbit sets grown one orbit at a time by the

@@ -18,12 +18,11 @@ the suppression stays proper.
 
 from dataclasses import dataclass
 import csv
-import json
 
 import numpy as np
 
 from .graphs import Graph, from_orbits, from_pairs, graph_to_json, \
-    nb_successors
+    nb_successors, write_json
 from .spectral import hashimoto_matrix
 
 
@@ -363,7 +362,5 @@ def write_walk_census(g: Graph, ks, csv_path, catalog_path,
         writer = csv.writer(fh)
         writer.writerow(["k", "type_id", "lengths", "count"])
         writer.writerows(rows)
-    with open(catalog_path, "w") as fh:
-        json.dump(catalog, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(catalog, catalog_path)
     return rows

@@ -7,6 +7,8 @@ import pytest
 
 import nblifts
 from nblifts.cli import main
+from nblifts.experiments import ExperimentConfig, conditioned_rows, \
+    run_experiment
 from nblifts.graphs import bouquet, complete_graph, cycle_graph, save_graph
 
 
@@ -291,3 +293,88 @@ def test_experiment_unknown_key_exits_3(tmp_path, k4_path, capsys, typo):
         **typo)))
     assert main(["experiment", "--config", str(cfg_path)]) == 3
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_spectrum_skips_ihara_above_dense_cap(k4_path, monkeypatch, capsys):
+    from nblifts import spectral
+    from nblifts.spectral import ihara_check
+    monkeypatch.setattr(spectral, "DENSE_HASHIMOTO_CAP", 8)  # K4 has 12
+    res = ihara_check(complete_graph(4))
+    assert (res.status, res.passed, res.max_err) == (
+        "skipped-too-large", None, None)
+    assert main(["spectrum", "--graph", k4_path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ihara"]["status"] == "skipped-too-large"
+    assert payload["mu1"] == pytest.approx(2.0)  # by power iteration
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum"],
+    ["tangle-scan", "--nu", "1.8", "--r", "3", "--max-vertices", "6"],
+])
+def test_out_file_equals_stdout(tmp_path, capsys, command):
+    cover = tmp_path / "cover.json"
+    save_graph(bouquet(2), tmp_path / "b2.json")
+    assert main(["sample", "--base", str(tmp_path / "b2.json"), "--n", "5",
+                 "--seed", "3", "--out", str(cover)]) == 0
+    argv = command + ["--graph", str(cover)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout
+
+
+def _experiment_config(tmp_path, k4_path, **extra):
+    cfg = dict({"base": k4_path, "degrees": [4, 6], "trials": 3,
+                "epsilon": 0.2, "seed": 3,
+                "tangle": {"nu": 1.8, "r": 3, "max_vertices": 5,
+                           "max_subgraphs": 200},
+                "magnifier": {"gamma": 0.1, "R": 2, "mode": "sampled",
+                              "trials": 10}}, **extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path), ExperimentConfig.from_json(cfg)
+
+
+def test_experiment_without_out_prints_the_report(tmp_path, k4_path, capsys):
+    path, cfg = _experiment_config(tmp_path, k4_path)
+    assert main(["experiment", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == run_experiment(cfg).to_json()
+
+
+def test_conditioned_without_tangle_query_exits_3(tmp_path, k4_path, capsys):
+    path, _ = _experiment_config(tmp_path, k4_path, tangle=None)
+    assert main(["experiment", "--config", path, "--conditioned"]) == 3
+    assert "--conditioned requires a tangle query in the config" in \
+        capsys.readouterr().err
+
+
+def test_spectral_error_in_subcommand_exits_2(k4_path, monkeypatch, capsys):
+    from nblifts import cli
+    from nblifts.spectral import SpectralError
+
+    def failing(g):
+        raise SpectralError("no convergence")
+
+    monkeypatch.setattr(cli, "mu1", failing)
+    assert main(["spectrum", "--graph", k4_path]) == 2
+    assert "verification failure: no convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_experiment_out_bytes_equal_report_dump(tmp_path, k4_path,
+                                                conditioned):
+    path, cfg = _experiment_config(tmp_path, k4_path)
+    flag = ["--conditioned"] if conditioned else []
+    prefix = str(tmp_path / "cli")
+    assert main(["experiment", "--config", path, "--out", prefix] + flag) == 0
+    report = run_experiment(cfg)
+    if conditioned:
+        report.conditioned = conditioned_rows(cfg, report.records)
+    report.dump(tmp_path / "lib.json", tmp_path / "lib.csv")
+    for ext in (".json", ".csv"):
+        assert (tmp_path / ("cli" + ext)).read_bytes() == \
+            (tmp_path / ("lib" + ext)).read_bytes()

@@ -610,3 +610,23 @@ def test_trial_without_scan_or_magnifier_builds_no_graph(monkeypatch):
     assert inits == []
     sample_lift(configs[0].base, 3, ModelSpec(), seed=0).cover
     assert [args[0] for args in inits] == [12]  # the wrapper sees a cover
+
+
+def test_row_of_a_degree_whose_trials_all_fail(monkeypatch):
+    from nblifts import experiments
+    from nblifts.spectral import SpectralError
+    real = experiments.run_trial
+
+    def failing_at_3(cfg, n, t, base_spectrum=None):
+        if n == 3:
+            raise SpectralError("no convergence")
+        return real(cfg, n, t, base_spectrum)
+
+    monkeypatch.setattr(experiments, "run_trial", failing_at_3)
+    report = run_experiment(small_config(degrees=(2, 3), trials=4))
+    ok, failed = report.rows
+    assert ok["failed"] == 0 and ok["mean_lambda2"] is not None
+    assert (failed["failed"], failed["trials"]) == (4, 0)
+    assert failed["mean_lambda2"] is None and failed["mean_mu1_new"] is None
+    row = json.loads(json.dumps(report.to_json()))["rows"][1]
+    assert row["mean_lambda2"] is None and row["mean_mu1_new"] is None

@@ -483,3 +483,9 @@ def test_uncapped_scan_matches_brute_force(g, nu, r, strict, max_vertices,
     assert report.scanned == len(sets)
     assert report.has_tangles() == bool(finds)
     assert {canonical_form(sub) for sub, *_ in report.found} == finds
+
+
+def test_is_tangle_refuses_order_at_the_bound():
+    # bouquet(3): order 3 - 1 = 2 and mu1 = 5, far above nu
+    assert not is_tangle(bouquet(3), TangleQuery(nu=1.0, r=2))
+    assert is_tangle(bouquet(3), TangleQuery(nu=1.0, r=3))
