@@ -9,6 +9,7 @@ combinations, malformed graphs).
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -226,10 +227,16 @@ def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(data)
     if args.conditioned and cfg.tangle is None:
         raise ConfigError("--conditioned requires a tangle query in the config")
+    out = args.out or data.get("output")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output must be a path prefix, got {out!r}")
+    # a missing directory would otherwise only show after the whole sweep
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"output directory {os.path.dirname(out)!r} "
+                          f"does not exist")
     report = run_experiment(cfg)
     if args.conditioned:
         report.conditioned = conditioned_rows(cfg, report.records)
-    out = args.out or data.get("output")
     if out:
         report.dump(out + ".json", out + ".csv")
         print(f"wrote {out}.json and {out}.csv")
@@ -258,8 +265,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("spectrum", help="spectra of a graph or a sampled lift")
-    p.add_argument("--graph", help="single-graph mode")
-    p.add_argument("--base", help="lift mode: base graph path")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--graph", help="single-graph mode")
+    mode.add_argument("--base", help="lift mode: base graph path")
     add_model_args(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -305,8 +313,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "spectrum" and not (args.graph or args.base):
-        parser.error("spectrum needs --graph or --base")
     try:
         return args.func(args)
     except (ConfigError, ModelError, GraphFormatError, FileNotFoundError,

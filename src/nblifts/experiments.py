@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
+        if self.seed < 0:  # SeedSequence would fail every trial
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.degrees:
             raise ConfigError("at least one cover degree is required")
         if len(set(self.degrees)) != len(self.degrees):
@@ -401,7 +403,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = summarize_rows(cfg, records_by_n, failures_by_n)
     fit = fit_scaling(rows)
     notes = []
-    if all(row["nonalon_positive_count"] == 0 for row in rows):
+    # a sweep whose every trial failed observed nothing at all
+    if any(records_by_n.values()) and all(
+            row["nonalon_positive_count"] == 0 for row in rows):
         notes.append("below detection at desk scale: no non-Alon events observed")
     d = cfg.base.regular_degree()
     if d is not None and alon_threshold(d, cfg.epsilon) >= d:

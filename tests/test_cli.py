@@ -378,3 +378,37 @@ def test_experiment_out_bytes_equal_report_dump(tmp_path, k4_path,
     for ext in (".json", ".csv"):
         assert (tmp_path / ("cli" + ext)).read_bytes() == \
             (tmp_path / ("lib" + ext)).read_bytes()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_experiment_missing_out_directory_exits_3_before_any_trial(
+        tmp_path, k4_path, monkeypatch, capsys, via_config):
+    from nblifts import experiments
+    calls = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda *args: calls.append(args))
+    prefix = str(tmp_path / "nodir" / "run")
+    if via_config:
+        path, _ = _experiment_config(tmp_path, k4_path, output=prefix)
+        argv = ["experiment", "--config", path]
+    else:
+        path, _ = _experiment_config(tmp_path, k4_path)
+        argv = ["experiment", "--config", path, "--out", prefix]
+    assert main(argv) == 3
+    assert calls == []
+    assert str(tmp_path / "nodir") in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_spectrum_graph_with_base_exits_3(k4_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["spectrum", "--graph", k4_path, "--base", k4_path])
+    assert err.value.code == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_experiment_non_string_output_exits_3(tmp_path, k4_path, capsys):
+    # used to run the whole sweep and then escape main as a TypeError
+    path, _ = _experiment_config(tmp_path, k4_path, output=5)
+    assert main(["experiment", "--config", path]) == 3
+    assert "output must be a path prefix, got 5" in capsys.readouterr().err

@@ -630,3 +630,31 @@ def test_row_of_a_degree_whose_trials_all_fail(monkeypatch):
     assert failed["mean_lambda2"] is None and failed["mean_mu1_new"] is None
     row = json.loads(json.dumps(report.to_json()))["rows"][1]
     assert row["mean_lambda2"] is None and row["mean_mu1_new"] is None
+
+
+def test_config_rejects_negative_seed():
+    _refused(r"seed must be non-negative, got -1", seed=-1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        small_config(seed=-5)
+
+
+def test_negative_seed_exits_3_before_any_trial(tmp_path, monkeypatch):
+    from nblifts.cli import main
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config_json(seed=-5)))
+    calls = _count_trials(monkeypatch)
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert calls == []
+
+
+def test_report_whose_trials_all_fail_claims_no_detection_limit(monkeypatch):
+    from nblifts import experiments
+    from nblifts.spectral import SpectralError
+
+    def failing(cfg, n, t, base_spectrum=None):
+        raise SpectralError("no convergence")
+
+    monkeypatch.setattr(experiments, "run_trial", failing)
+    report = run_experiment(small_config(degrees=(2, 3), trials=2))
+    assert [row["failed"] for row in report.rows] == [2, 2]
+    assert not any("below detection" in note for note in report.notes)

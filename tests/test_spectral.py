@@ -647,3 +647,46 @@ def test_lanczos_checks_follow_the_residual_decay(base, seed, calls,
 ])
 def test_check_gap(last, step, bound, gap):
     assert spectral._check_gap(last, step, bound) == gap
+
+
+def test_ihara_check_fails_on_a_corrupted_hashimoto_matrix(monkeypatch):
+    g = sample_lift(complete_graph(4), 60, ModelSpec(), 0).cover
+    real = spectral.hashimoto_matrix
+
+    def one_entry_zeroed(graph):
+        h = real(graph)
+        i, j = np.argwhere(h)[0]
+        h[i, j] = 0.0
+        return h
+
+    monkeypatch.setattr(spectral, "hashimoto_matrix", one_entry_zeroed)
+    res = ihara_check(g)
+    assert res.status == "checked" and res.passed is False
+    assert res.max_err > 1e-3
+
+
+def test_ihara_check_degree_at_most_two_and_forests():
+    from nblifts.graphs import path_graph
+    # d = 2, 1, 2, 2 and 0; path_graph(1) and from_pairs(3) have #E < #V
+    for g in (cycle_graph(5), path_graph(1), bouquet(1), dipole(2),
+              from_pairs(3)):
+        res = ihara_check(g)
+        assert res.status == "checked" and res.passed, (res, g)
+        assert res.max_err <= 1e-12
+
+
+def test_ihara_check_computes_no_spectrum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ihara_check must not solve or match spectra")
+
+    for name in ("hashimoto_spectrum", "adjacency_spectrum",
+                 "multiset_difference"):
+        monkeypatch.setattr(spectral, name, refuse)
+    for g in (complete_graph(4), bouquet(2),
+              sample_lift(dipole(3), 8, ModelSpec(), 1).cover):
+        assert ihara_check(g).passed
+
+
+def test_ihara_check_is_deterministic():
+    g = sample_lift(complete_graph(5), 6, ModelSpec(), 3).cover
+    assert ihara_check(g) == ihara_check(g)
