@@ -295,18 +295,17 @@ def holonomy_generators(lift: Lift):
 
 
 def orbit_count(generators, n: int) -> int:
-    """Number of orbits of the group generated by the given permutations."""
+    """Number of orbits of the group generated by the given permutations:
+    union-find with path halving, counting down from n at each merge."""
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    count = n
     for g in generators:
-        for i, j in enumerate(g.tolist()):
-            a, b = find(i), find(j)
+        for a, b in enumerate(g.tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-    return len({find(i) for i in range(n)})
+                count -= 1
+    return count

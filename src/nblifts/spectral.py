@@ -155,13 +155,20 @@ def mu1(g: Graph) -> float:
 
     Computed on the pruned core: pendant trees only contribute nilpotent
     blocks, whose numerically ill-conditioned zero eigenvalues would
-    otherwise pollute the result.  Forests give exactly 0.
+    otherwise pollute the result.  Forests give exactly 0.  A d-regular
+    core gives exactly d - 1 with no eigensolve: inv e is always an
+    out-edge of head e (a half-loop's too), so every row of H sums to
+    d - 1, and a nonnegative matrix with equal row sums has that sum as
+    its spectral radius.
     """
     if g.n == 0:
         raise ValueError("mu1 of the empty graph is undefined")
     core = prune(g)
     if core.n == 0:
         return 0.0
+    d = core.regular_degree()
+    if d is not None:
+        return float(d - 1)
     m = core.num_directed
     if m <= DENSE_HASHIMOTO_CAP:
         vals = np.linalg.eigvals(hashimoto_matrix(core))
@@ -377,17 +384,45 @@ def tridiagonal_lowest(alpha, beta, start: float = math.nan) -> float:
     return math.nan
 
 
+def _gather_index(lift: Lift) -> np.ndarray:
+    """Index that turns the cover's A x into a gather and a sum.
+
+    Shape (maxdeg, base.n, n): entry [j, v, i] is the cover head of edge
+    (e, i), e the j-th out-edge of base vertex v in ascending id; rows past
+    deg(v) hold N = base.n * n, the slot after x that reads 0.0.
+    """
+    base, n = lift.base, lift.assignment.degree
+    heads = lift.edge_arrays[1].reshape(-1, n)
+    index = np.full((max(base.degrees(), default=0), base.n, n), base.n * n)
+    for v in range(base.n):
+        for j, e in enumerate(base.out_edges(v)):  # ascending edge ids
+            index[j, v] = heads[e]
+    return index
+
+
+def _gather_matvec(qx: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """A q of the cover as a (base.n, n) array, for qx = q followed by 0.0.
+
+    Its bits equal np.bincount(tail, weights=q[head], minlength=N): both add
+    each vertex's terms one at a time in ascending base edge id (a sum over
+    the leading axis is sequential, not pairwise), and padding adds +0.0.
+    """
+    return qx[index].sum(axis=0)
+
+
 def lanczos_new_extremes(lift: Lift):
     """Lowest and highest new adjacency eigenvalues, matrix-free.
 
     Plain Lanczos (three-term recurrence, no reorthogonalisation) on
     x -> A x minus each fibre's mean, from a fixed start vector summing to
-    zero on every fibre; A x is a gather and a bincount over the cover's
-    edges.  Only the current and previous vectors are kept, so memory is
-    O(N) and k steps cost O(kN).  Lost orthogonality does not spoil the
-    extremes: by Paige (1980) it only adds copies of Ritz values that have
-    already converged, and a Ritz value theta with residual bound
-    beta * |s_k| <= tol lies within tol + O(k eps |A|) of an eigenvalue.
+    zero on every fibre.  A x is _gather_matvec: each cover vertex sums the
+    entries of x at its out-neighbours, read through _gather_index, built
+    once per call.  q and the previous vector live in two preallocated
+    buffers, so memory is O(N) and k steps cost O(kN).  Lost orthogonality
+    does not spoil the extremes: by Paige (1980) it only adds copies of
+    Ritz values that have already converged, and a Ritz value theta with
+    residual bound beta * |s_k| <= tol lies within tol + O(k eps |A|) of an
+    eigenvalue.
 
     A check takes the lowest and highest eigenvalues of the tridiagonal T
     from tridiagonal_lowest (of T and of -T), each started from the
@@ -407,21 +442,26 @@ def lanczos_new_extremes(lift: Lift):
     size = lift.base.n * n
     if lift.base.n * (n - 1) == 0:
         return np.zeros(0)
-    tail, head = lift.edge_arrays
+    index = _gather_index(lift)
 
-    def sum_zero(x):
-        # x minus each fibre's mean, in place: the same bits as x.mean
-        fibres = x.reshape(-1, n)
+    def sum_zero(fibres):
+        # minus each fibre's mean, in place: the same bits as x.mean
         fibres -= fibres.sum(axis=1, keepdims=True) / n
-        return x
+        return fibres.reshape(size)
 
-    q = sum_zero(np.random.default_rng(0).standard_normal(size))
+    # q and prev, by the parity of the step, each followed by the 0.0 that
+    # index pads with
+    vecs = np.zeros((2, size + 1))
+    q = vecs[0, :size]
+    q[:] = sum_zero(np.random.default_rng(0).standard_normal((lift.base.n, n)))
     q /= np.linalg.norm(q)
     alpha, beta = [], []
     low_start = high_start = math.nan  # high_start is a start for -T
     check, last = LANCZOS_CHECK_EVERY, None
     for k in range(LANCZOS_MAX_STEPS):
-        w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
+        qx, prev = vecs[k % 2], vecs[1 - k % 2, :size]
+        q = qx[:size]
+        w = sum_zero(_gather_matvec(qx, index))
         alpha.append(float(q @ w))
         w -= alpha[-1] * q
         if k:
@@ -445,7 +485,7 @@ def lanczos_new_extremes(lift: Lift):
             check = k + 1 + _check_gap(last, k + 1, worst)
             last = k + 1, worst
         beta.append(b)
-        prev, q = q, w / b
+        np.divide(w, b, out=prev)  # the next step's q
     return None
 
 

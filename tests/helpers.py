@@ -1,6 +1,7 @@
 """Generators shared by the test modules: the small-multigraph corpus and
 random connected multigraphs."""
 
+from collections import deque
 from itertools import combinations_with_replacement
 
 from nblifts.graphs import Graph, from_pairs
@@ -240,3 +241,79 @@ def reference_assignment_error(base, degree, sigma):
         if not np.array_equal(sigma[base.inv[e]][row], ident):
             return f"sigma on edge {e} and its partner are not inverse"
     return None
+
+
+def reference_lanczos_new_extremes(lift):
+    """spectral.lanczos_new_extremes with A q as a bincount scatter-add over
+    the cover's edges, the form the gather replaced; kept as a test-only
+    reference that the gather's result must equal bit for bit."""
+    import math
+    import numpy as np
+    from nblifts import spectral
+    n = lift.assignment.degree
+    size = lift.base.n * n
+    if lift.base.n * (n - 1) == 0:
+        return np.zeros(0)
+    tail, head = lift.edge_arrays
+
+    def sum_zero(x):
+        fibres = x.reshape(-1, n)
+        fibres -= fibres.sum(axis=1, keepdims=True) / n
+        return x
+
+    q = sum_zero(np.random.default_rng(0).standard_normal(size))
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    low_start = high_start = math.nan
+    check, last = spectral.LANCZOS_CHECK_EVERY, None
+    for k in range(spectral.LANCZOS_MAX_STEPS):
+        w = sum_zero(np.bincount(tail, weights=q[head], minlength=size))
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        if k:
+            w -= beta[-1] * prev
+        b = math.sqrt(w @ w)
+        invariant = b <= spectral.LANCZOS_TOL
+        if (invariant or k + 1 == check
+                or k + 1 == spectral.LANCZOS_MAX_STEPS):
+            low = spectral.tridiagonal_lowest(alpha, beta, low_start)
+            high = -spectral.tridiagonal_lowest([-a for a in alpha], beta,
+                                                high_start)
+            pick = [low, high] if k else [low]
+            bounds = [b * spectral.ritz_last_component(alpha, beta, x)
+                      for x in pick]
+            if all(r <= spectral.LANCZOS_TOL for r in bounds):
+                return np.array(pick)
+            if invariant:
+                return None
+            low_start = low - 1.001 * bounds[0]
+            high_start = -high - 1.001 * bounds[-1]
+            worst = float(np.max(bounds))
+            check = k + 1 + spectral._check_gap(last, k + 1, worst)
+            last = k + 1, worst
+        beta.append(b)
+        prev, q = q, w / b
+    return None
+
+
+def brute_force_orbit_count(generators, n):
+    """Orbits of the group the permutations generate, by breadth-first
+    search over i -> g[i] and its inverse edges."""
+    neighbours = [set() for _ in range(n)]
+    for g in generators:
+        for i, j in enumerate(g):
+            neighbours[i].add(int(j))
+            neighbours[int(j)].add(i)
+    seen, orbits = [False] * n, 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        orbits += 1
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            for j in neighbours[queue.popleft()]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+    return orbits

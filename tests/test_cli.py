@@ -305,7 +305,7 @@ def test_spectrum_skips_ihara_above_dense_cap(k4_path, monkeypatch, capsys):
     assert main(["spectrum", "--graph", k4_path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ihara"]["status"] == "skipped-too-large"
-    assert payload["mu1"] == pytest.approx(2.0)  # by power iteration
+    assert payload["mu1"] == pytest.approx(2.0)  # exact: K4 is 3-regular
 
 
 @pytest.mark.parametrize("command", [

@@ -232,6 +232,37 @@ def test_components_match_holonomy_orbits():
         assert len(lift.cover.components()) == orbit_count(gens, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_orbit_count_matches_brute_force(n, count, seed):
+    # identity generators, empty lists, n = 0 and 1, and permutations of
+    # up to three blocks of [n], which then split into several orbits
+    from helpers import brute_force_orbit_count
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.integers(0, n + 1, size=2))
+    gens = []
+    for _ in range(count):
+        perm = np.arange(n)
+        if rng.random() < 0.8:  # otherwise the identity
+            for part in np.split(np.arange(n), cuts):
+                perm[part] = rng.permutation(part)
+        gens.append(perm)
+    assert orbit_count(gens, n) == brute_force_orbit_count(gens, n)
+
+
+def test_orbit_count_on_disconnected_covers():
+    base = complete_graph(4)
+    for by_rep, parts in [({rep: [1, 0, 3, 2] for rep in base.orientation()},
+                           2),
+                          ({rep: [0, 2, 1, 3] for rep in base.orientation()},
+                           3)]:
+        lift = build_lift(base, PermutationAssignment.from_dict(base, 4,
+                                                                by_rep))
+        gens = holonomy_generators(lift)
+        assert orbit_count(gens, 4) == len(lift.cover.components()) == parts
+        assert not lift.is_connected()
+
+
 def test_forced_disconnected_lift():
     b = complete_graph(4)
     # block permutations preserving {0,1} and {2,3}

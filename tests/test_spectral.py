@@ -122,6 +122,71 @@ def test_mu1_gt_one_iff_negative_euler_char_enumerated():
     assert checked > 30
 
 
+def _dense_mu1(g):
+    return float(np.abs(np.linalg.eigvals(hashimoto_matrix(prune(g)))).max())
+
+
+REGULAR_CORES = [
+    bouquet(2), bouquet(1, 2), bouquet(0, 2), dipole(3), complete_graph(4),
+    cycle_graph(5), from_pairs(2, [(0, 1)], [0, 1]),
+    # K4 with a pendant path: not regular, but its core is
+    from_pairs(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4),
+                   (4, 5)]),
+    sample_lift(bouquet(1, 2), 4, ModelSpec("permutation", "matching"),
+                3).cover,
+    sample_lift(dipole(3), 5, ModelSpec(), 1).cover,
+]
+
+
+def test_mu1_of_a_regular_core_is_exact(monkeypatch):
+    dense = [_dense_mu1(g) for g in REGULAR_CORES]
+
+    def refuse(*args):
+        raise AssertionError("mu1 of a regular core needs no eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(spectral, "_power_spectral_radius", refuse)
+    for g, want in zip(REGULAR_CORES, dense):
+        d = prune(g).regular_degree()
+        assert mu1(g) == float(d - 1)
+        assert abs(want - (d - 1)) <= 1e-9 * d, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_mu1_of_regular_multigraphs_matches_dense(nv, d, seed):
+    # random stub pairing: leftover stubs are half-loops, a pair on one
+    # vertex a whole-loop, repeated pairs parallel edges
+    rng = np.random.default_rng(seed)
+    stubs = rng.permutation(np.repeat(np.arange(nv), d)).tolist()
+    halves = min(len(stubs), (nv * d) % 2 + 2 * int(rng.integers(0, 2)))
+    rest = stubs[halves:]
+    g = from_pairs(nv, list(zip(rest[0::2], rest[1::2])), stubs[:halves])
+    assert g.regular_degree() == d
+    assert mu1(g) == float(d - 1)
+    assert abs(_dense_mu1(g) - (d - 1)) <= 1e-8 * d
+
+
+def test_mu1_of_a_non_regular_core_above_the_dense_cap(monkeypatch):
+    # degrees 2, 4, 2 (8 directed edges), and a non-regular cover of it
+    base = from_pairs(3, [(0, 1), (1, 2), (0, 2), (1, 1)])
+    graphs = [base, sample_lift(base, 4, ModelSpec(), 2).cover]
+    dense = [_dense_mu1(g) for g in graphs]
+    calls = []
+    real = spectral._power_spectral_radius
+
+    def counting(core):
+        calls.append(core)
+        return real(core)
+
+    monkeypatch.setattr(spectral, "_power_spectral_radius", counting)
+    monkeypatch.setattr(spectral, "DENSE_HASHIMOTO_CAP", 7)
+    for g, want in zip(graphs, dense):
+        assert prune(g).regular_degree() is None
+        assert mu1(g) == pytest.approx(want, abs=1e-9)
+    assert len(calls) == 2
+
+
 def test_new_hashimoto_spectrum_size():
     b = complete_graph(4)
     lift = sample_lift(b, 3, ModelSpec(), seed=8)
@@ -446,23 +511,21 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
     base = bouquet(2)
     tol = _extremes_tol(base)
     worst_loss = 0.0
-    real_bincount = np.bincount
+    real_matvec = spectral._gather_matvec
     for seed in range(8):
         lift = sample_lift(base, 100, ModelSpec(), seed=seed)
         dense = new_eigenvalues(lift)
-        head = np.asarray(lift.cover.head)
         vectors = []
 
-        def recording(x, weights=None, minlength=0):
-            # A q is bincount(tail, q[head]): read each Lanczos vector back
-            q = np.zeros(minlength)
-            q[head] = weights
-            vectors.append(q)
-            return real_bincount(x, weights=weights, minlength=minlength)
+        def recording(qx, index):
+            # A q is a gather from qx, q followed by the padding's 0.0:
+            # read each Lanczos vector back
+            vectors.append(qx[:-1].copy())
+            return real_matvec(qx, index)
 
-        monkeypatch.setattr(np, "bincount", recording)
+        monkeypatch.setattr(spectral, "_gather_matvec", recording)
         vals = new_adjacency_extremes(lift, math.inf)
-        monkeypatch.setattr(np, "bincount", real_bincount)
+        monkeypatch.setattr(spectral, "_gather_matvec", real_matvec)
         basis = np.array(vectors)
         loss = np.abs(basis @ basis.T - np.eye(len(basis))).max()
         worst_loss = max(worst_loss, loss)
@@ -470,6 +533,76 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
         assert abs(vals[-1] - dense[-1]) <= tol
     assert not lanczos_dense_calls
     assert worst_loss > 0.1
+
+
+# half-loops, whole-loops, parallel edges, non-regular bases, n = 2, and
+# degree 10 (bouquet(5)), past numpy's 8-way unrolled pairwise sums
+GATHER_CASES = [
+    (bouquet(1, 2), ModelSpec("permutation", "matching"), 2),
+    (bouquet(2, 1), ModelSpec("cyclic", "matching"), 6),
+    (bouquet(0, 3), ModelSpec("permutation", "near_matching"), 7),
+    (bouquet(5), ModelSpec(), 3),
+    (dipole(3), ModelSpec(), 5),
+    (from_pairs(3, [(0, 1), (1, 2), (0, 2), (1, 1)]), ModelSpec(), 2),
+    (from_pairs(4, [(0, 1), (0, 1), (1, 2), (2, 2), (0, 3)], [2, 3]),
+     ModelSpec("permutation", "matching"), 4),
+    (from_pairs(2), ModelSpec(), 3),
+]
+
+
+def _assert_gather_equals_bincount(lift, seed):
+    n = lift.assignment.degree
+    size = lift.base.n * n
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over 16 decades make every rounding order-sensitive
+    q = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+    qx = np.append(q, 0.0)
+    got = spectral._gather_matvec(qx, spectral._gather_index(lift))
+    tail, head = lift.edge_arrays
+    assert got.shape == (lift.base.n, n)
+    assert np.array_equal(got.ravel(),
+                          np.bincount(tail, weights=q[head], minlength=size))
+
+
+@pytest.mark.parametrize("base,spec,n", GATHER_CASES)
+def test_gather_matvec_equals_the_bincount(base, spec, n):
+    for seed in range(4):
+        _assert_gather_equals_bincount(sample_lift(base, n, spec, seed), seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+def test_gather_matvec_equals_the_bincount_on_random_lifts(seed, n):
+    from helpers import random_connected_multigraph
+    rng = np.random.default_rng(seed)
+    base = random_connected_multigraph(rng, max_vertices=5, max_extra=8,
+                                       half_loop_prob=0.5)
+    rule = "matching" if n % 2 == 0 else "near_matching"
+    lift = sample_lift(base, n, ModelSpec("permutation", rule), seed)
+    _assert_gather_equals_bincount(lift, seed)
+
+
+# 24 lifts of 400 to 2000 vertices; the identity lift of K4 ends at an
+# invariant subspace
+@pytest.mark.parametrize("base,spec,n", [
+    (complete_graph(5), ModelSpec(), 80),
+    (complete_graph(5), ModelSpec(), 400),
+    (complete_graph(4), ModelSpec(), 100),
+    (bouquet(2), ModelSpec("cyclic"), 400),
+    (bouquet(1, 2), ModelSpec("permutation", "matching"), 400),
+    (dipole(3), ModelSpec(), 200),
+    (from_pairs(3, [(0, 1), (1, 2), (0, 2), (1, 1)]), ModelSpec(), 150),
+])
+def test_lanczos_equals_the_bincount_reference(base, spec, n):
+    from helpers import reference_lanczos_new_extremes
+    lifts = [sample_lift(base, n, spec, seed) for seed in range(3)]
+    if base == complete_graph(4):
+        lifts.append(build_lift(base, PermutationAssignment.identity(base, n)))
+    for lift in lifts:
+        got = lanczos_new_extremes(lift)
+        want = reference_lanczos_new_extremes(lift)
+        assert got is not None and want is not None
+        assert got.tobytes() == want.tobytes()
 
 
 def _tridiagonal(alpha, beta):
