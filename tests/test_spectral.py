@@ -582,7 +582,7 @@ def test_gather_matvec_equals_the_bincount_on_random_lifts(seed, n):
     _assert_gather_equals_bincount(lift, seed)
 
 
-# 24 lifts of 400 to 2000 vertices; the identity lift of K4 ends at an
+# 22 lifts of 400 to 2000 vertices; the identity lift of K4 ends at an
 # invariant subspace
 @pytest.mark.parametrize("base,spec,n", [
     (complete_graph(5), ModelSpec(), 80),
