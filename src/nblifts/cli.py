@@ -76,7 +76,7 @@ def cmd_sample(args) -> int:
         "base_vertices": base.n,
         "cover_vertices": lift.cover.n,
         "cover_edges": lift.cover.num_edges,
-        "connected": lift.cover.is_connected(),
+        "connected": lift.is_connected(),
     }
     if args.out:
         save_graph(lift.cover, args.out)

@@ -15,7 +15,8 @@ Exhaustive checks enumerate all 2^n subsets with bit tricks and are capped
 at 20 vertices; beyond that, sampling draws uniform subsets plus adversarial
 seeds (BFS balls and single-fibre blocks) since imbalanced local sets are
 the likely violators.  Sampled candidates are int vertex masks, and a
-candidate's neighbourhood is the OR of its vertices' neighbour masks.
+candidate's neighbourhood is the OR of its vertices' neighbour masks; a
+BFS ball's outside neighbourhood is the BFS's next frontier.
 """
 
 from dataclasses import dataclass
@@ -163,18 +164,27 @@ def _members_mask(n: int, members) -> int:
 
 
 def _bfs_balls(rows, start: int, radius: int):
-    """The balls of radius 1, ..., radius around start, from one BFS."""
-    ball = frontier = 1 << start
+    """The balls of radius 1, ..., radius around start, from one BFS, each
+    with the mask of its neighbours outside it.
+
+    Frontier k + 1 is N(frontier k) minus ball k.  It equals N(ball k)
+    minus ball k, since every vertex of ball k - 1 has all its neighbours
+    in ball k; so a ball's outside neighbourhood is the next frontier.
+    """
+    ball = 1 << start
+    frontier = _mask_neighborhood(rows, ball) & ~ball
     for _ in range(radius):
-        frontier = _mask_neighborhood(rows, frontier) & ~ball
         ball |= frontier
-        yield ball
+        frontier = _mask_neighborhood(rows, frontier) & ~ball
+        yield ball, frontier
 
 
-def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
-                       fibre_blocks=()):
-    """Candidate sets U as vertex masks: fibre blocks, BFS balls, then
-    uniform draws.  rows are g's _mask_rows."""
+def _candidates(g: Graph, rows, lo: int, hi: int, trials: int, rng,
+                fibre_blocks=()):
+    """Candidate sets U as pairs of vertex masks (U, N(U) minus U): fibre
+    blocks, BFS balls, then uniform draws.  rows are g's _mask_rows.  A
+    ball's outside neighbourhood comes from its BFS; any other candidate's
+    is taken when the candidate is yielded."""
     block_masks = []
     for blk in fibre_blocks:
         blk = list(blk)
@@ -184,12 +194,12 @@ def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
     for blk in block_masks:
         if lo <= blk.bit_count() <= hi and blk not in seen:
             seen.add(blk)
-            yield blk
+            yield blk, _mask_neighborhood(rows, blk) & ~blk
     for v in range(min(g.n, trials)):
-        for ball in _bfs_balls(rows, v, 3):
+        for ball, outside in _bfs_balls(rows, v, 3):
             if lo <= ball.bit_count() <= hi and ball not in seen:
                 seen.add(ball)
-                yield ball
+                yield ball, outside
     count = 0
     while count < trials:
         size = int(rng.integers(lo, hi + 1))
@@ -197,16 +207,25 @@ def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
         count += 1
         if u not in seen:
             seen.add(u)
-            yield u
+            yield u, _mask_neighborhood(rows, u) & ~u
 
 
-def _check_subsets(rows, gamma: float, subsets):
+def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
+                       fibre_blocks=()):
+    """The candidate masks of _candidates alone, in the same order."""
+    for u, _ in _candidates(g, rows, lo, hi, trials, rng, fibre_blocks):
+        yield u
+
+
+def _check_subsets(gamma: float, candidates):
+    """Check (U, N(U) minus U) mask pairs in order, stopping at the first
+    U with fewer than gamma * |U| outside neighbours."""
     trials = 0
     best = None
-    for u in subsets:
+    for u, out in candidates:
         trials += 1
         size = u.bit_count()
-        outside = (_mask_neighborhood(rows, u) & ~u).bit_count()
+        outside = out.bit_count()
         ratio = outside / size
         if best is None or ratio < best:
             best = ratio
@@ -257,9 +276,9 @@ def is_pseudo_magnifier(g: Graph, R: int, gamma: float,
         return MagnificationResult(holds, witness, "exhaustive",
                                    1 << g.n, best)
     rng = np.random.default_rng(seed)
-    rows = _mask_rows(g)
-    subsets = _candidate_subsets(g, rows, R, hi, trials, rng, fibre_blocks)
-    return _check_subsets(rows, gamma, subsets)
+    candidates = _candidates(g, _mask_rows(g), R, hi, trials, rng,
+                             fibre_blocks)
+    return _check_subsets(gamma, candidates)
 
 
 def lift_fibre_blocks(lift: Lift):

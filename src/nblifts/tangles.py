@@ -278,16 +278,19 @@ def check_scan_caps(max_vertices: int, max_subgraphs: int) -> None:
 
 
 def _orbit_masks(core, reps):
-    """For each orbit reps[j]: the mask of its end vertices, and the mask of
-    the orbits touching them, itself included (bit i for reps[i])."""
+    """Bitmasks over the orbits reps (bit j for reps[j]) and the vertices:
+    for each orbit the mask of its end vertices; for each vertex the mask
+    of the orbits touching it and the mask of its loops (orbits with both
+    ends at it, half-loops included)."""
     vert_fmask = [0] * core.n
+    vert_lmask = [0] * core.n
     for j, r in enumerate(reps):
         vert_fmask[core.tail[r]] |= 1 << j
         vert_fmask[core.head[r]] |= 1 << j
+        if core.tail[r] == core.head[r]:
+            vert_lmask[core.tail[r]] |= 1 << j
     rep_vmask = [(1 << core.tail[r]) | (1 << core.head[r]) for r in reps]
-    rep_fmask = [vert_fmask[core.tail[r]] | vert_fmask[core.head[r]]
-                 for r in reps]
-    return rep_vmask, rep_fmask
+    return rep_vmask, vert_fmask, vert_lmask
 
 
 def scan_tangles(g: Graph, query: TangleQuery,
@@ -313,8 +316,15 @@ def scan_tangles(g: Graph, query: TangleQuery,
     representative a find keeps.
 
     Branches stop once the order reaches the query bound (adding edges can
-    only raise it) or the vertex cap is exceeded.  Found subgraphs are
-    deduplicated up to isomorphism.
+    only raise it) or the vertex cap is reached.  Every extension touches
+    the candidate's vertices, so a child adds at most one vertex: below
+    max_vertices every child fits, at it only the orbits with both ends
+    among the candidate's vertices fit, and above it (a two-vertex seed
+    with max_vertices 1) none do.  A candidate therefore also carries
+    ``inside``, the orbits below its seed with both ends among its
+    vertices; a child that adds vertex x adds to it the orbits joining x
+    to the old vertices (those touching x that the parent had seen) and
+    the loops at x.  Found subgraphs are deduplicated up to isomorphism.
 
     A connected orbit set of order -1 is a tree (mu1 = 0) and one of order 0
     prunes to nothing or to a single cycle (mu1 = 0 or 1).  When the query
@@ -325,18 +335,22 @@ def scan_tangles(g: Graph, query: TangleQuery,
     core, _, _ = prune_with_map(g)
     report = TangleReport(query)
     reps = core.orientation()
-    rep_vmask, rep_fmask = _orbit_masks(core, reps)
+    rep_vmask, vert_fmask, vert_lmask = _orbit_masks(core, reps)
     seen_iso = set()
     # orders <= 0 have mu1 in {0, 1}; the margin covers eigensolver noise
     admits_one = query.admits(1.0 + 1e-6)
 
     for s in reversed(range(len(reps))):
         below = (1 << s) - 1
-        stack = [(1 << s, rep_vmask[s], rep_fmask[s] | ~below,
-                  rep_fmask[s] & below)]
+        u, v = core.tail[reps[s]], core.head[reps[s]]
+        touching = vert_fmask[u] | vert_fmask[v]
+        joining = vert_fmask[u] & vert_fmask[v] if u != v else 0
+        size = 1 + (u != v)
+        stack = [(1 << s, rep_vmask[s], touching | ~below, touching & below,
+                  (joining | vert_lmask[u] | vert_lmask[v]) & below,
+                  1 - size, size)]
         while stack:
-            orbits, verts, seen, ext = stack.pop()
-            order = orbits.bit_count() - verts.bit_count()
+            orbits, verts, seen, ext, inside, order, size = stack.pop()
             if order >= query.r:
                 continue
             if report.scanned >= max_subgraphs:
@@ -361,12 +375,23 @@ def scan_tangles(g: Graph, query: TangleQuery,
                         seen_iso.add(key)
                         report.found.append(
                             (sub, value, order, query.boundary_band(value)))
+            if size >= max_vertices:
+                ext = ext & inside if size == max_vertices else 0
             while ext:
                 low = ext & -ext
                 ext ^= low
+                if low & inside:
+                    # both ends already in: the vertices, seen orbits and
+                    # inside stay, and the orbit touches nothing unseen
+                    stack.append((orbits | low, verts, seen, ext, inside,
+                                  order + 1, size))
+                    continue
                 j = low.bit_length() - 1
-                nv = verts | rep_vmask[j]
-                if nv.bit_count() <= max_vertices:
-                    stack.append((orbits | low, nv, seen | rep_fmask[j],
-                                  ext | (rep_fmask[j] & ~seen)))
+                x = (rep_vmask[j] & ~verts).bit_length() - 1
+                stack.append((orbits | low, verts | 1 << x,
+                              seen | vert_fmask[x],
+                              ext | (vert_fmask[x] & ~seen),
+                              inside | (vert_fmask[x] & seen
+                                        | vert_lmask[x]) & below,
+                              order, size + 1))
     return report

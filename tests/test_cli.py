@@ -9,7 +9,8 @@ import nblifts
 from nblifts.cli import main
 from nblifts.experiments import ExperimentConfig, conditioned_rows, \
     run_experiment
-from nblifts.graphs import bouquet, complete_graph, cycle_graph, save_graph
+from nblifts.graphs import bouquet, complete_graph, cycle_graph, load_graph, \
+    save_graph
 
 
 @pytest.fixture
@@ -28,6 +29,29 @@ def test_sample_writes_cover(tmp_path, k4_path, capsys):
     assert data["vertices"] == 12
     summary = json.loads(capsys.readouterr().out)
     assert summary["cover_vertices"] == 12
+
+
+@pytest.mark.parametrize("base, n, seeds, expected", [
+    # covers of one whole-loop are unions of cycles
+    (bouquet(1), 4, range(6), {True, False}),
+    (complete_graph(4), 5, range(2), {True}),
+])
+def test_sample_connected_matches_the_written_cover(tmp_path, capsys, base,
+                                                    n, seeds, expected):
+    """"connected" comes from the holonomy; it must agree with a search
+    over the cover the command writes."""
+    base_path = tmp_path / "base.json"
+    save_graph(base, base_path)
+    out = tmp_path / "cover.json"
+    flags = set()
+    for seed in seeds:
+        rc = main(["sample", "--base", str(base_path), "--n", str(n),
+                   "--seed", str(seed), "--out", str(out)])
+        assert rc == 0
+        connected = json.loads(capsys.readouterr().out)["connected"]
+        assert connected == load_graph(out).is_connected()
+        flags.add(connected)
+    assert flags == expected
 
 
 def test_sample_rejects_bad_parity(tmp_path, capsys):

@@ -658,3 +658,43 @@ def test_report_whose_trials_all_fail_claims_no_detection_limit(monkeypatch):
     report = run_experiment(small_config(degrees=(2, 3), trials=2))
     assert [row["failed"] for row in report.rows] == [2, 2]
     assert not any("below detection" in note for note in report.notes)
+
+
+def test_readme_trials_match_the_set_references(monkeypatch):
+    """One trial per degree of the README config, once with the bitmask
+    scan and magnifier and once with the test references: the records, the
+    scan reports and the magnifier results must all be equal."""
+    from functools import partial
+    from helpers import reference_sampled_magnifier, reference_scan_tangles
+    from nblifts import experiments
+    from nblifts.magnify import is_pseudo_magnifier
+    from nblifts.tangles import scan_tangles
+    cfg = small_config(degrees=(20, 40, 80), trials=1, seed=20240818,
+                       tangle=TangleQuery(nu=1.8, r=3),
+                       tangle_max_vertices=6, tangle_max_subgraphs=4000,
+                       magnifier={"R": 2, "gamma": 0.1, "mode": "sampled",
+                                  "trials": 100})
+
+    def run(scan, magnifier):
+        scans, mags = [], []
+
+        def recording_scan(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            scans.append(report.to_json())
+            return report
+
+        def recording_magnifier(g, R, gamma, mode, **kwargs):
+            assert mode == "sampled"
+            mags.append(magnifier(g, R, gamma, **kwargs))
+            return mags[-1]
+
+        monkeypatch.setattr(experiments, "scan_tangles", recording_scan)
+        monkeypatch.setattr(experiments, "is_pseudo_magnifier",
+                            recording_magnifier)
+        records = [run_trial(cfg, n, 0) for n in cfg.degrees]
+        return records, scans, mags
+
+    got = run(scan_tangles, partial(is_pseudo_magnifier, mode="sampled"))
+    want = run(reference_scan_tangles, reference_sampled_magnifier)
+    assert got == want
+    assert len(got[1]) == len(got[2]) == 3

@@ -372,3 +372,45 @@ def test_sampled_magnifier_matches_set_reference(case, R, gamma, trials,
                               seed=seed, fibre_blocks=blocks)
     want = reference_sampled_magnifier(g, R, gamma, trials, seed, blocks)
     assert got == want
+
+
+# a 320-vertex K4 cover: every fibre block has 3 outside neighbours per
+# vertex, and the balls of radius 1, 2 and 3 around vertex 0 have 1.5, 1.2
+# and 23/22
+_K4_COVER = sample_lift(complete_graph(4), 80, ModelSpec(), seed=0)
+
+
+def _ball(g, start, radius):
+    found = frontier = {start}
+    for _ in range(radius):
+        frontier = neighborhood(g, frontier) - found
+        found = found | frontier
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("R, gamma, violator", [
+    (2, 3.5, "fibre block"),
+    (2, 2.0, 1),
+    (2, 1.3, 2),
+    (2, 1.1, 3),
+    # no ball of radius 3 in a cubic graph reaches 23 vertices
+    (23, 0.9, "uniform draw"),
+])
+def test_sampled_magnifier_first_violator_matches_reference(R, gamma,
+                                                            violator):
+    """The check stops at its first violator, whichever kind of candidate
+    that is, with the result of the set reference."""
+    from helpers import reference_sampled_magnifier
+    g = _K4_COVER.cover
+    blocks = lift_fibre_blocks(_K4_COVER)
+    got = is_pseudo_magnifier(g, R, gamma, mode="sampled", trials=100,
+                              seed=0, fibre_blocks=blocks)
+    assert got == reference_sampled_magnifier(g, R, gamma, 100, 0, blocks)
+    assert not got.holds
+    if violator == "fibre block":
+        assert got.witness == frozenset(blocks[0])
+    elif violator == "uniform draw":
+        assert len(got.witness) >= R
+        assert got.witness not in {frozenset(b) for b in blocks}
+    else:
+        assert got.witness == _ball(g, 0, violator)

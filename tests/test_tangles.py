@@ -373,6 +373,38 @@ def test_scan_matches_reference_on_covers(monkeypatch, base, n, nu):
                                    if order > 0}
 
 
+# bouquet(2) cover: vertex 3 carries two whole-loops, vertices 0 and 2 one
+_LOOPED_COVER = sample_lift(bouquet(2), 6, ModelSpec(), seed=5).cover
+
+
+@pytest.mark.parametrize("g, max_vertices, largest", [
+    # chords of K4 join vertices already taken; the whole K4 needs two
+    (complete_graph(4), 4, (4, 6)),
+    # the seed fills the cap and both parallel edges are added at it
+    (dipole(3), 2, (2, 3)),
+    # a loop seed fills the cap and the second loop is added at it; every
+    # edge seed has two vertices, above the cap, and grows nothing
+    (_LOOPED_COVER, 1, (1, 2)),
+    # the half-loop seed grows to vertex 0, whose whole-loop is then added
+    # at the cap
+    (from_pairs(2, [(0, 1), (0, 0)], [1]), 2, (2, 3)),
+])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("max_subgraphs", [3, 10_000])
+def test_scan_matches_reference_at_the_vertex_cap(g, max_vertices, largest,
+                                                  r, max_subgraphs):
+    from helpers import reference_scan_tangles
+    for nu in (0.5, 1.5, 2.0):
+        query = TangleQuery(nu=nu, r=r)
+        got = scan_tangles(g, query, max_vertices, max_subgraphs)
+        want = reference_scan_tangles(g, query, max_vertices, max_subgraphs)
+        assert got.to_json() == want.to_json()
+        sizes = {(sub.n, sub.num_edges) for sub, *_ in got.found}
+        assert all(n <= max_vertices for n, _ in sizes)
+        if nu == 0.5 and r == 3 and not got.caps_hit:
+            assert largest in sizes
+
+
 @pytest.mark.parametrize("r", [0, -1])
 def test_tangle_query_refuses_r_below_one(r):
     with pytest.raises(ValueError, match="r must be at least 1"):
