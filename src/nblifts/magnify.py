@@ -219,7 +219,9 @@ def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
 
 def _check_subsets(gamma: float, candidates):
     """Check (U, N(U) minus U) mask pairs in order, stopping at the first
-    U with fewer than gamma * |U| outside neighbours."""
+    U with fewer than gamma * |U| outside neighbours.  For a BFS ball the
+    second mask is the next frontier of its BFS (see _bfs_balls), not a
+    neighbourhood taken again over the whole ball."""
     trials = 0
     best = None
     for u, out in candidates:
