@@ -210,13 +210,6 @@ def _candidates(g: Graph, rows, lo: int, hi: int, trials: int, rng,
             yield u, _mask_neighborhood(rows, u) & ~u
 
 
-def _candidate_subsets(g: Graph, rows, lo: int, hi: int, trials: int, rng,
-                       fibre_blocks=()):
-    """The candidate masks of _candidates alone, in the same order."""
-    for u, _ in _candidates(g, rows, lo, hi, trials, rng, fibre_blocks):
-        yield u
-
-
 def _check_subsets(gamma: float, candidates):
     """Check (U, N(U) minus U) mask pairs in order, stopping at the first
     U with fewer than gamma * |U| outside neighbours.  For a BFS ball the

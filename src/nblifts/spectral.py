@@ -90,12 +90,15 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def hashimoto_matrix(g: Graph) -> np.ndarray:
-    """0/1 directed-edge matrix of non-backtracking length-two walks."""
-    m = g.num_directed
-    h = np.zeros((m, m))
-    for e, succs in enumerate(nb_successors(g)):
-        for f in succs:
-            h[e, f] = 1.0
+    """0/1 directed-edge matrix of non-backtracking length-two walks.
+
+    Entry (e, f) is 1 when f leaves the vertex e enters and f is not the
+    reverse of e.  One broadcast marks every f leaving head[e]; inv[e] is
+    always one of them, and is then cleared.
+    """
+    tail, head = _edge_arrays(g)
+    h = (head[:, None] == tail).astype(float)
+    h[np.arange(len(tail)), np.asarray(g.inv, dtype=np.int64)] = 0.0
     return h
 
 

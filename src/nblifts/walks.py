@@ -6,6 +6,11 @@ The number of such walks equals the trace of the k-th power of the Hashimoto
 matrix.  count_snbc_dfs is the independent check of that identity: it
 enumerates walks level by level over non-backtracking transitions, in
 bounded chunks with one array entry per walk, and forms no matrix products.
+A walk in a level is the pair (bad, end): its last directed edge end, and
+bad = inv[first], the reverse of its first edge, at whose head the walk
+started.  Levels are extended through a successor table padded to the
+largest out-degree, so memory is O(kmax * WALK_CHUNK) for the levels plus
+O(#E^dir * max out-degree) for the table.
 
 Homotopy types: the visited subgraph of a walk carries a first-encountered
 numbering (the from_orbits numbering); suppressing its beads (degree-2
@@ -78,14 +83,43 @@ class Walk:
                 and g.inv[self.edges[-1]] != self.edges[0])
 
 
-def _check_budget(g: Graph, k: int, budget: int):
-    """Refuse enumerations whose worst case #E^dir * (max out-degree)^k is too big."""
-    succ = nb_successors(g)
-    max_out = max((len(s) for s in succ), default=0)
+def _max_out_degree(g: Graph, k: int, budget: int) -> int:
+    """Most non-backtracking successors of a directed edge: the largest
+    vertex degree less one, or 0 without edges.  Refuses enumerations whose
+    worst case #E^dir * (max out-degree)^k passes the budget."""
+    max_out = max(max(g.degrees(), default=0) - 1, 0)
     if g.num_directed * (max_out ** k) > budget:
         raise BudgetExceededError(
             f"{g.num_directed} * {max_out}^{k} exceeds the budget {budget}")
-    return succ
+    return max_out
+
+
+def _check_budget(g: Graph, k: int, budget: int):
+    """Refuse enumerations over the budget, as _max_out_degree does; return
+    nb_successors(g)."""
+    _max_out_degree(g, k, budget)
+    return nb_successors(g)
+
+
+def _successor_table(g: Graph, width: int) -> np.ndarray:
+    """Row e lists nb_successors(g)[e] in order, padded to width with the
+    dead index #E^dir.
+
+    Row e starts as the out-edges of head[e], ascending and padded to
+    width + 1; inv[e] is among them exactly once, and dropping it leaves
+    the successors.
+    """
+    m = g.num_directed
+    tail = np.asarray(g.tail, dtype=np.int64)
+    order = np.argsort(tail, kind="stable")
+    deg = np.bincount(tail, minlength=g.n)
+    start = np.cumsum(deg) - deg
+    ends = tail[order]
+    out = np.full((g.n, width + 1), m, dtype=np.int64)
+    out[ends, np.arange(m) - start[ends]] = order
+    rows = out[np.asarray(g.head, dtype=np.int64)]
+    inv = np.asarray(g.inv, dtype=np.int64)
+    return rows[rows != inv[:, None]].reshape(m, width)
 
 
 def enumerate_snbc(g: Graph, k: int, budget: int = 10_000_000):
@@ -114,49 +148,52 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     """SNBC walk counts for every length 1..kmax by explicit enumeration.
 
     Walks are enumerated level by level: a level holds one array entry per
-    non-backtracking walk of its length (its first and last directed edge),
-    is counted, and is extended by every non-backtracking successor of the
-    last edge.  A level whose extension would pass WALK_CHUNK entries is
-    split in halves first, so memory stays O(kmax * WALK_CHUNK).  This is
-    the brute-force side of the trace identity: every walk is visited and
-    no matrix algebra is used.
+    non-backtracking walk of its length, stored as the pair (bad, end) of
+    directed edges, where end is the walk's last edge and bad = inv[first]
+    the reverse of its first.  Since tail[first] == head[bad], the walk
+    closes exactly when head[end] == head[bad] and end != bad.  A level is
+    counted, then extended through a successor table built once: row e
+    lists the non-backtracking successors of e, padded to the largest
+    out-degree with the dead index #E^dir, so the children of a level are
+    table[end] raveled, each paired with its parent's bad; dead entries
+    are dropped when out-degrees differ.  A level whose extension would
+    pass WALK_CHUNK entries is split in halves first, so memory stays
+    O(kmax * WALK_CHUNK) for the levels plus O(#E^dir * max out-degree)
+    for the table.  This is the brute-force side of the trace identity:
+    every walk is visited and no matrix algebra is used.
     """
     if kmax < 1:
         raise ValueError("walk length must be at least 1")
-    succ = _check_budget(g, kmax, budget)
+    width = _max_out_degree(g, kmax, budget)
+    m = g.num_directed
     head = np.asarray(g.head, dtype=np.int64)
-    tail = np.asarray(g.tail, dtype=np.int64)
     inv = np.asarray(g.inv, dtype=np.int64)
-    out_deg = np.fromiter(map(len, succ), dtype=np.int64, count=len(succ))
-    first = np.zeros(len(succ) + 1, dtype=np.int64)
-    np.cumsum(out_deg, out=first[1:])
-    flat = np.fromiter((f for fs in succ for f in fs), dtype=np.int64,
-                       count=int(first[-1]))
+    table = _successor_table(g, width)
+    padded = bool(np.any(table[:, -1:] == m))
     counts = [0] * (kmax + 1)
 
-    def record(start, end, depth):
-        closed = (head[end] == tail[start]) & (end != inv[start])
+    def record(bad, end, depth):
+        closed = (head[end] == head[bad]) & (end != bad)
         counts[depth] += int(np.count_nonzero(closed))
         if depth < kmax and end.size:
-            stack.append((start, end, depth))
+            stack.append((bad, end, depth))
 
     stack = []
-    edges = np.arange(g.num_directed, dtype=np.int64)
-    record(edges, edges, 1)
+    record(inv, np.arange(m, dtype=np.int64), 1)
     while stack:
-        start, end, depth = stack.pop()
-        deg = out_deg[end]
-        size = int(deg.sum())
-        if size > WALK_CHUNK and len(end) > 1:
+        bad, end, depth = stack.pop()
+        if len(end) * width > WALK_CHUNK and len(end) > 1:
             half = len(end) // 2
-            stack.append((start[:half], end[:half], depth))
-            stack.append((start[half:], end[half:], depth))
+            stack.append((bad[:half], end[:half], depth))
+            stack.append((bad[half:], end[half:], depth))
             continue
-        # the children of entry p fill next-level positions c_p .. c_p +
-        # deg_p - 1 (c = exclusive prefix sum of deg); position i holds
-        # flat[first[end[p]] + i - c_p], a successor of p's last edge
-        skip = np.repeat(first[end] - (np.cumsum(deg) - deg), deg)
-        record(np.repeat(start, deg), flat[np.arange(size) + skip], depth + 1)
+        # take on axis 0 copies whole rows, far faster than table[end]
+        children = table.take(end, axis=0).ravel()
+        bad = np.repeat(bad, width)
+        if padded:
+            live = children != m
+            children, bad = children[live], bad[live]
+        record(bad, children, depth + 1)
     return counts[1:]
 
 

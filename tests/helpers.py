@@ -201,6 +201,19 @@ def loop_adjacency_matrix(g):
     return a
 
 
+def reference_hashimoto_matrix(g):
+    """The Hashimoto matrix filled one non-backtracking pair at a time;
+    test-only reference for the broadcast hashimoto_matrix."""
+    import numpy as np
+    from nblifts.graphs import nb_successors
+    m = g.num_directed
+    h = np.zeros((m, m))
+    for e, succs in enumerate(nb_successors(g)):
+        for f in succs:
+            h[e, f] = 1.0
+    return h
+
+
 def reference_count_snbc_dfs(g, kmax, budget=10_000_000_000):
     """SNBC walk counts for every length 1..kmax by explicit DFS.
 

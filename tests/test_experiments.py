@@ -660,20 +660,33 @@ def test_report_whose_trials_all_fail_claims_no_detection_limit(monkeypatch):
     assert not any("below detection" in note for note in report.notes)
 
 
-def test_readme_trials_match_the_set_references(monkeypatch):
-    """One trial per degree of the README config, once with the bitmask
-    scan and magnifier and once with the test references: the records, the
-    scan reports and the magnifier results must all be equal."""
+README_MAGNIFIER = {"R": 2, "gamma": 0.1, "mode": "sampled", "trials": 100}
+
+
+@pytest.mark.parametrize("overrides, uncapped", [
+    (dict(degrees=(20, 40, 80), tangle=TangleQuery(nu=1.8, r=3),
+          tangle_max_vertices=6, magnifier=README_MAGNIFIER), False),
+    # small bouquet(2) covers have loops: every scan finishes below the cap
+    # and finds tangles, and gamma 1 fails on some trials, so scanned
+    # counts, found subgraphs and magnifier witnesses are all compared
+    (dict(base=bouquet(2), degrees=(4, 6, 8), tangle=TangleQuery(nu=1.8, r=3),
+          tangle_max_vertices=5,
+          magnifier={**README_MAGNIFIER, "gamma": 1.0}), True),
+], ids=["readme", "uncapped"])
+def test_readme_trials_match_the_set_references(monkeypatch, overrides,
+                                                uncapped):
+    """One trial per degree of the README config, and of a config whose
+    scans finish and find tangles and whose magnifier fails, once with the
+    bitmask scan and magnifier and once with the test references: the
+    records, the scan reports and the magnifier results must all be
+    equal."""
     from functools import partial
     from helpers import reference_sampled_magnifier, reference_scan_tangles
     from nblifts import experiments
     from nblifts.magnify import is_pseudo_magnifier
     from nblifts.tangles import scan_tangles
-    cfg = small_config(degrees=(20, 40, 80), trials=1, seed=20240818,
-                       tangle=TangleQuery(nu=1.8, r=3),
-                       tangle_max_vertices=6, tangle_max_subgraphs=4000,
-                       magnifier={"R": 2, "gamma": 0.1, "mode": "sampled",
-                                  "trials": 100})
+    cfg = small_config(trials=1, seed=20240818, tangle_max_subgraphs=4000,
+                       **overrides)
 
     def run(scan, magnifier):
         scans, mags = [], []
@@ -697,4 +710,9 @@ def test_readme_trials_match_the_set_references(monkeypatch):
     got = run(scan_tangles, partial(is_pseudo_magnifier, mode="sampled"))
     want = run(reference_scan_tangles, reference_sampled_magnifier)
     assert got == want
-    assert len(got[1]) == len(got[2]) == 3
+    _, scans, mags = got
+    assert len(scans) == len(mags) == 3
+    if uncapped:
+        assert not any(scan["caps_hit"] for scan in scans)
+        assert all(scan["found"] for scan in scans)
+        assert {mag.holds for mag in mags} == {True, False}

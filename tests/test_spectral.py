@@ -74,6 +74,33 @@ def test_hashimoto_triangle_row_sums():
     assert h.sum(axis=1).tolist() == [1.0] * 6
 
 
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hashimoto_matrix_matches_the_per_entry_reference(seed):
+    # random trees plus extra orbits: leaves, whole-loops, parallel edges
+    # and, half the time, half-loops
+    from helpers import random_connected_multigraph, reference_hashimoto_matrix
+    g = random_connected_multigraph(np.random.default_rng(seed),
+                                    max_vertices=7, max_extra=6,
+                                    half_loop_prob=0.5)
+    assert _same_bits(hashimoto_matrix(g), reference_hashimoto_matrix(g))
+
+
+@pytest.mark.parametrize("g", [
+    from_pairs(0, []),
+    from_pairs(4, [(0, 1), (1, 1), (0, 1)], [1]),  # vertex 2 and 3 edgeless
+    from_pairs(3, []),
+], ids=["empty", "edgeless-vertices", "no-edges"])
+def test_hashimoto_matrix_edge_cases_match_the_reference(g):
+    from helpers import reference_hashimoto_matrix
+    assert _same_bits(hashimoto_matrix(g), reference_hashimoto_matrix(g))
+
+
 def test_mu1_values():
     assert mu1(complete_graph(4)) == pytest.approx(2.0, rel=1e-10)
     for k in (3, 5, 8):
