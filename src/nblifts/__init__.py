@@ -49,8 +49,8 @@ from .lifts import (
 )
 from .spectral import (
     IharaResult,
+    NewExtremes,
     SpectralError,
-    SpectralReport,
     SpectrumMultiset,
     adjacency_matrix,
     adjacency_spectrum,

@@ -89,9 +89,8 @@ def cmd_spectrum(args) -> int:
     if args.base:
         base = load_graph(args.base)
         lift = sample_lift(base, args.n, _model_from_args(args), args.seed)
-        report = spectral_report(lift, eps=args.epsilon, tol=args.tol,
-                                 with_hashimoto=args.hashimoto)
-        payload = report.to_json()
+        payload = spectral_report(lift, eps=args.epsilon, tol=args.tol,
+                                  with_hashimoto=args.hashimoto)
     else:
         g = load_graph(args.graph)
         d = g.regular_degree()

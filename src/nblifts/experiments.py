@@ -34,7 +34,6 @@ from .spectral import (
     SpectralError,
     adjacency_spectrum,
     alon_threshold,
-    count_non_alon,
     hashimoto_radius_from_adjacency,
     new_adjacency_extremes,
 )
@@ -102,6 +101,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.degrees:
             raise ConfigError("at least one cover degree is required")
+        if self.base.regular_degree() is None:  # else no count is tested
+            raise ConfigError("2*sqrt(d-1) + epsilon needs a d-regular base; "
+                              f"got degrees {sorted(set(self.base.degrees()))}")
         if len(set(self.degrees)) != len(self.degrees):
             raise ConfigError(
                 f"cover degrees must be distinct, got {list(self.degrees)}")
@@ -238,16 +240,8 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     d = cfg.base.regular_degree()
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
-    threshold = math.inf if d is None else alon_threshold(d, cfg.epsilon)
-    new_vals = new_adjacency_extremes(lift, threshold)
-    max_new = float(np.abs(new_vals).max()) if len(new_vals) else None
-    non_alon = 0 if d is None else count_non_alon(new_vals, d, cfg.epsilon)
-    every = np.sort(np.concatenate([base_spectrum, new_vals]))
-    lam2 = float(every[-2]) if len(every) >= 2 else None
+    new = new_adjacency_extremes(lift, alon_threshold(d, cfg.epsilon))
     connected = lift.is_connected()
-    near_d = None
-    if not connected and d is not None and len(new_vals):
-        near_d = any(abs(abs(v) - d) <= 1e-6 for v in new_vals)
     has_t = caps = None
     if cfg.tangle is not None:
         rep = scan_tangles(lift.cover, cfg.tangle,
@@ -260,8 +254,9 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
         mag = is_pseudo_magnifier(
             lift.cover, R, gamma, mode=mode, trials=trials, seed=seed,
             fibre_blocks=lift_fibre_blocks(lift)).holds
-    return TrialRecord(n, t, non_alon, max_new, lam2, connected, near_d,
-                       has_t, caps, mag)
+    return TrialRecord(n, t, new.count_above(), new.max_abs,
+                       new.lambda2(base_spectrum), connected,
+                       None if connected else new.near(d), has_t, caps, mag)
 
 
 def _mean(values):
@@ -282,11 +277,8 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
         has_t = sum(1 for r in recs if r.has_tangles)
         joint = sum(1 for r in recs
                     if r.non_alon > 0 and r.has_tangles is False)
-        mu1_new = None
-        if d is not None:
-            mu1_new = _mean([
-                hashimoto_radius_from_adjacency(r.max_new_abs, d)
-                for r in recs if r.max_new_abs is not None])
+        mu1_new = _mean([hashimoto_radius_from_adjacency(r.max_new_abs, d)
+                         for r in recs if r.max_new_abs is not None])
         lo, hi = wilson_interval(nonalon_pos, trials)
         rows.append({
             "n": n,
@@ -408,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             row["nonalon_positive_count"] == 0 for row in rows):
         notes.append("below detection at desk scale: no non-Alon events observed")
     d = cfg.base.regular_degree()
-    if d is not None and alon_threshold(d, cfg.epsilon) >= d:
+    if alon_threshold(d, cfg.epsilon) >= d:
         notes.append(
             "threshold 2*sqrt(d-1) + epsilon is at least d: no adjacency "
             "eigenvalue of a d-regular cover can exceed it")

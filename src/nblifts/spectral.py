@@ -6,8 +6,11 @@ lift is its spectrum on functions summing to zero over every fibre; the
 fibre-constant functions carry the base spectrum.  Both are invariant under
 A and H, so new eigenvalues are picked by index, with no matching.
 
-Trials only need the extreme new adjacency eigenvalues.  For covers of at
-least LANCZOS_MIN_VERTICES vertices these come from matrix-free Lanczos on
+Trials only need the extreme new adjacency eigenvalues, which
+new_adjacency_extremes returns as a NewExtremes record, the one place where
+new eigenvalues are compared with a threshold; experiments.run_trial,
+non_alon_count and spectral_report all read it.  For covers of at least
+LANCZOS_MIN_VERTICES vertices the extremes come from matrix-free Lanczos on
 the sum-zero subspace: the plain three-term recurrence, O(N) memory, with a
 residual test on every returned value and the dense solve as fallback
 whenever an extreme reaches the threshold or the test never passes.  Its
@@ -509,23 +512,56 @@ def _check_gap(last, step, bound: float) -> int:
     return math.ceil(min(max(gap, LANCZOS_MIN_GAP), LANCZOS_MAX_GAP))
 
 
-def new_adjacency_extremes(lift: Lift, threshold: float) -> np.ndarray:
+@dataclass(frozen=True)
+class NewExtremes:
+    """New adjacency eigenvalues of a lift and the threshold they are
+    counted against; every comparison of new eigenvalues is made here.
+
+    values holds all of them (dense solve) or the lowest and highest
+    (Lanczos, kept only when the count is zero).  Both give the full
+    spectrum's count, max |new| and lambda2, since no new eigenvalue exceeds
+    the base's largest: cover and base share their spectral radius.
+    """
+
+    values: np.ndarray
+    threshold: float
+
+    def count_above(self, margin: float = 0.0) -> int:
+        """New eigenvalues with |lambda| + margin > threshold, with
+        multiplicity; margin 0 gives the non-Alon count."""
+        return int(np.sum(np.abs(self.values) + margin > self.threshold))
+
+    @property
+    def max_abs(self) -> float | None:
+        return float(np.abs(self.values).max()) if len(self.values) else None
+
+    def lambda2(self, base_spectrum) -> float | None:
+        """Second-largest cover eigenvalue, from the base's and the new."""
+        every = np.sort(np.concatenate([base_spectrum, self.values]))
+        return float(every[-2]) if len(every) >= 2 else None
+
+    def near(self, d: int) -> bool | None:
+        """Some new eigenvalue within 1e-6 of d or -d; None without any."""
+        vals = self.values
+        return any(abs(abs(v) - d) <= 1e-6 for v in vals) if len(vals) else None
+
+
+def new_adjacency_extremes(lift: Lift, threshold: float) -> NewExtremes:
     """New adjacency eigenvalues, as many as counting past threshold needs.
 
-    Covers below LANCZOS_MIN_VERTICES vertices return new_eigenvalues(lift).
-    Larger ones return lanczos_new_extremes(lift), [theta_min, theta_max].
-    These give the full spectrum's count (zero), max |new| and lambda2: no
-    new eigenvalue exceeds the base's largest, since cover and base share
-    their spectral radius.  The dense solve runs instead when some |theta|
-    comes within LANCZOS_TOL of threshold (the count may be positive and
-    needs multiplicities) or when lanczos_new_extremes returns None.
+    Covers below LANCZOS_MIN_VERTICES vertices take new_eigenvalues(lift).
+    Larger ones take lanczos_new_extremes(lift), [theta_min, theta_max],
+    unless some |theta| comes within LANCZOS_TOL of threshold (the count
+    may be positive and needs multiplicities) or it returns None; then the
+    dense solve runs instead.
     """
-    if lift.base.n * lift.assignment.degree < LANCZOS_MIN_VERTICES:
-        return new_eigenvalues(lift)
-    vals = lanczos_new_extremes(lift)
-    if vals is None or np.any(np.abs(vals) + LANCZOS_TOL > threshold):
-        return new_eigenvalues(lift)
-    return vals
+    if lift.base.n * lift.assignment.degree >= LANCZOS_MIN_VERTICES:
+        vals = lanczos_new_extremes(lift)
+        if vals is not None:
+            found = NewExtremes(vals, threshold)
+            if not found.count_above(LANCZOS_TOL):
+                return found
+    return NewExtremes(new_eigenvalues(lift), threshold)
 
 
 def alon_threshold(d: int, eps: float = 0.0) -> float:
@@ -533,18 +569,12 @@ def alon_threshold(d: int, eps: float = 0.0) -> float:
     return 2.0 * math.sqrt(d - 1) + eps
 
 
-def count_non_alon(new_vals, d: int, eps: float) -> int:
-    """Number of new eigenvalues with |lambda| > 2 sqrt(d-1) + eps."""
-    return int(np.sum(np.abs(new_vals) > alon_threshold(d, eps)))
-
-
 def non_alon_count(lift: Lift, eps: float) -> int:
     """New adjacency eigenvalues exceeding the regular-base bound, with multiplicity."""
     d = lift.base.regular_degree()
     if d is None:
         raise ValueError("non-Alon counting requires a regular base graph")
-    return count_non_alon(
-        new_adjacency_extremes(lift, alon_threshold(d, eps)), d, eps)
+    return new_adjacency_extremes(lift, alon_threshold(d, eps)).count_above()
 
 
 def is_ramanujan(g: Graph) -> bool:
@@ -618,37 +648,10 @@ def hashimoto_radius_from_adjacency(lam_abs: float, d: int) -> float:
     return (lam_abs + math.sqrt(lam_abs * lam_abs - 4 * q)) / 2
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Old/new spectra of a lift plus its non-Alon count."""
-
-    adjacency_spectrum: SpectrumMultiset
-    hashimoto_spectrum: SpectrumMultiset | None
-    new_adjacency: SpectrumMultiset
-    new_hashimoto: SpectrumMultiset | None
-    non_alon_count: int | None
-    epsilon: float
-    base_regular_degree: int | None = None
-    ramanujan_base: bool | None = None
-
-    def to_json(self):
-        return {
-            "adjacency": self.adjacency_spectrum.to_json(),
-            "hashimoto": (self.hashimoto_spectrum.to_json()
-                          if self.hashimoto_spectrum else None),
-            "new_adjacency": self.new_adjacency.to_json(),
-            "new_hashimoto": (self.new_hashimoto.to_json()
-                              if self.new_hashimoto else None),
-            "non_alon_count": self.non_alon_count,
-            "epsilon": self.epsilon,
-            "base_regular_degree": self.base_regular_degree,
-            "ramanujan_base": self.ramanujan_base,
-        }
-
-
 def spectral_report(lift: Lift, eps: float, tol: float = MULTIPLICITY_TOL,
-                    with_hashimoto: bool = False) -> SpectralReport:
-    """Cover spectra reported as base plus new; tol groups multiplicities."""
+                    with_hashimoto: bool = False) -> dict:
+    """Cover spectra as base plus new, and the non-Alon count of the new
+    adjacency spectrum, as JSON; tol groups multiplicities."""
     d = lift.base.regular_degree()
 
     def old_and_new(base_vals, which):
@@ -660,6 +663,15 @@ def spectral_report(lift: Lift, eps: float, tol: float = MULTIPLICITY_TOL,
     hsp = new_h = None
     if with_hashimoto:
         hsp, new_h = old_and_new(hashimoto_spectrum(lift.base), "hashimoto")
-    count = count_non_alon(new_adj.values, d, eps) if d is not None else None
-    ram = is_ramanujan(lift.base) if d is not None else None
-    return SpectralReport(cover_adj, hsp, new_adj, new_h, count, eps, d, ram)
+    return {
+        "adjacency": cover_adj.to_json(),
+        # an empty Hashimoto spectrum (n = 1) is reported as null
+        "hashimoto": hsp.to_json() if hsp else None,
+        "new_adjacency": new_adj.to_json(),
+        "new_hashimoto": new_h.to_json() if new_h else None,
+        "non_alon_count": None if d is None else NewExtremes(
+            np.array(new_adj.values), alon_threshold(d, eps)).count_above(),
+        "epsilon": eps,
+        "base_regular_degree": d,
+        "ramanujan_base": None if d is None else is_ramanujan(lift.base),
+    }

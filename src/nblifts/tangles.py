@@ -30,12 +30,11 @@ class TangleQuery:
     nu: float
     r: int
     strict: bool = False
-    tol: float = MU1_TOL
 
     def __post_init__(self):
-        # a non-finite nu admits nothing or everything, a fractional r acts
-        # as its ceiling and a negative tol inverts admits(nu): each would
-        # answer another query than the one asked
+        # a non-finite nu admits nothing or everything and a fractional r
+        # acts as its ceiling: each would answer another query than the one
+        # asked
         if not math.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
@@ -44,20 +43,17 @@ class TangleQuery:
         # would report "no tangles" without looking
         if self.r < 1:
             raise ValueError("r must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(
-                f"tol must be finite and non-negative, got {self.tol!r}")
 
     def admits(self, value: float) -> bool:
         if self.strict:
-            return value > self.nu + self.tol
-        return value >= self.nu - self.tol
+            return value > self.nu + MU1_TOL
+        return value >= self.nu - MU1_TOL
 
     def boundary_band(self, value: float) -> str:
-        """Classify against the tolerance band around nu."""
-        if value > self.nu + self.tol:
+        """Classify against the MU1_TOL band around nu."""
+        if value > self.nu + MU1_TOL:
             return "above"
-        if value < self.nu - self.tol:
+        if value < self.nu - MU1_TOL:
             return "below"
         return "boundary"
 

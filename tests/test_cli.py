@@ -9,8 +9,8 @@ import nblifts
 from nblifts.cli import main
 from nblifts.experiments import ExperimentConfig, conditioned_rows, \
     run_experiment
-from nblifts.graphs import bouquet, complete_graph, cycle_graph, load_graph, \
-    save_graph
+from nblifts.graphs import bouquet, complete_graph, cycle_graph, from_pairs, \
+    load_graph, save_graph
 
 
 @pytest.fixture
@@ -234,6 +234,22 @@ def test_experiment_magnifier_without_gamma_exits_3(tmp_path, k4_path):
         "base": k4_path, "degrees": [2], "trials": 1, "epsilon": 0.2,
         "magnifier": {"R": 2}}))
     assert main(["experiment", "--config", str(cfg_path)]) == 3
+
+
+def test_experiment_non_regular_base_exits_3(tmp_path, capsys, monkeypatch):
+    from nblifts import experiments
+    base_path = tmp_path / "base.json"
+    save_graph(from_pairs(2, [(0, 1), (0, 1), (0, 1), (0, 0)]), base_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": str(base_path), "degrees": [10, 20], "trials": 20,
+        "epsilon": 0.1, "seed": 1}))
+    trials = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda *args: trials.append(args))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "d-regular base" in capsys.readouterr().err
+    assert not trials
 
 
 def test_experiment_fractional_trials_exits_3(tmp_path, k4_path, capsys):

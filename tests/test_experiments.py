@@ -48,6 +48,20 @@ def test_config_validation():
                          degrees=(4,), trials=2, epsilon=0.1, seed=0)
 
 
+# degrees 5 and 3: used to report nonalon_positive_count 0, a Wilson
+# interval and "below detection" although no eigenvalue was tested
+NON_REGULAR = from_pairs(2, [(0, 1), (0, 1), (0, 1), (0, 0)])
+
+
+def test_config_refuses_non_regular_base():
+    with pytest.raises(ConfigError, match=r"d-regular base; got degrees "
+                                          r"\[3, 5\]"):
+        small_config(base=NON_REGULAR, degrees=(10, 20), trials=20,
+                     epsilon=0.1, seed=1)
+    _refused(r"d-regular base; got degrees \[3, 5\]",
+             base=graph_to_json(NON_REGULAR))
+
+
 def test_config_json_roundtrip():
     cfg = small_config(tangle=TangleQuery(nu=1.8, r=2), magnifier={"gamma": 0.2})
     data = cfg.to_json()

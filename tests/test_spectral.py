@@ -13,11 +13,11 @@ from nblifts.lifts import (
 )
 from nblifts import spectral
 from nblifts.spectral import (
+    NewExtremes,
     SpectralError,
     adjacency_matrix,
     adjacency_spectrum,
     alon_threshold,
-    count_non_alon,
     hashimoto_matrix,
     hashimoto_spectrum,
     ihara_check,
@@ -322,8 +322,7 @@ def test_bipartite_lift_spectral_symmetry():
 def test_spectral_report_json():
     b = complete_graph(4)
     lift = sample_lift(b, 3, ModelSpec(), seed=1)
-    rep = spectral_report(lift, eps=0.2, with_hashimoto=True)
-    data = rep.to_json()
+    data = spectral_report(lift, eps=0.2, with_hashimoto=True)
     assert data["non_alon_count"] == 0
     assert data["ramanujan_base"] is True
     assert len(data["new_adjacency"]["values"]) == 2 * 4
@@ -407,7 +406,7 @@ def test_new_adjacency_extremes_agree_with_dense(base, spec, n, kind,
     lift = sample_lift(base, n, spec, seed=31 + n)
     threshold = _threshold(base, kind)
     dense = new_eigenvalues(lift)
-    vals = new_adjacency_extremes(lift, threshold)
+    vals = new_adjacency_extremes(lift, threshold).values
     tol = _extremes_tol(base)
     assert (np.sum(np.abs(vals) > threshold)
             == np.sum(np.abs(dense) > threshold))
@@ -425,20 +424,54 @@ def test_disconnected_cover_extremes(eps, dense_runs, lanczos_dense_calls):
     base = complete_graph(4)
     lift = build_lift(base, PermutationAssignment.identity(base, 6))
     threshold = alon_threshold(3, eps)
-    vals = new_adjacency_extremes(lift, threshold)
+    found = new_adjacency_extremes(lift, threshold)
+    vals = found.values
     dense = new_eigenvalues(lift)
     assert len(lanczos_dense_calls) == dense_runs
-    assert count_non_alon(vals, 3, eps) == count_non_alon(dense, 3, eps)
+    assert found.count_above() == NewExtremes(dense, threshold).count_above()
     assert (any(abs(abs(v) - 3) <= 1e-6 for v in vals)
             == any(abs(abs(v) - 3) <= 1e-6 for v in dense))
 
 
 def test_non_alon_lift_takes_dense_count(lanczos_dense_calls):
     lift = sample_lift(bouquet(2), 40, ModelSpec(), seed=7)
-    dense_count = count_non_alon(new_eigenvalues(lift), 4, 0.1)
+    dense_count = NewExtremes(new_eigenvalues(lift),
+                              alon_threshold(4, 0.1)).count_above()
     assert dense_count > 0
     assert non_alon_count(lift, 0.1) == dense_count
     assert len(lanczos_dense_calls) == 1
+
+
+def _reader_lift(name):
+    """The lifts of the two tests above, and a K5 cover of 500 vertices."""
+    if name == "k4_identity":
+        base = complete_graph(4)
+        return build_lift(base, PermutationAssignment.identity(base, 6))
+    if name == "bouquet2_n40":
+        return sample_lift(bouquet(2), 40, ModelSpec(), seed=7)
+    return sample_lift(complete_graph(5), 100, ModelSpec(), seed=1)
+
+
+@pytest.mark.parametrize("name,eps,lanczos_from,dense_runs,count", [
+    ("k4_identity", 0.1, 400, 1, 5),  # dense: 24 vertices
+    ("k4_identity", 0.1, 0, 1, 5),  # Lanczos reaches 3 > 2.93: fallback
+    ("k4_identity", 0.2, 0, 0, 0),  # Lanczos extremes kept
+    ("bouquet2_n40", 0.1, 0, 1, None),  # fallback, some count above 0
+    ("k5_n100", 0.1, 400, 0, 0),  # Lanczos: 500 vertices
+])
+def test_three_readers_count_alike(name, eps, lanczos_from, dense_runs, count,
+                                   dense_calls, monkeypatch):
+    # run_trial, non_alon_count and spectral_report each count through
+    # NewExtremes, whichever path found the new eigenvalues
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_VERTICES", lanczos_from)
+    lift = _reader_lift(name)
+    d = lift.base.regular_degree()
+    found = new_adjacency_extremes(lift, alon_threshold(d, eps))
+    assert len(dense_calls) == dense_runs
+    got = found.count_above()
+    assert got == count if count is not None else got > 0
+    assert non_alon_count(lift, eps) == got
+    assert spectral_report(lift, eps)["non_alon_count"] == got
 
 
 def test_lanczos_step_cap_falls_back_to_dense(lanczos_dense_calls,
@@ -446,7 +479,7 @@ def test_lanczos_step_cap_falls_back_to_dense(lanczos_dense_calls,
     lift = sample_lift(complete_graph(5), 30, ModelSpec(), seed=3)
     monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
     assert lanczos_new_extremes(lift) is None
-    vals = new_adjacency_extremes(lift, math.inf)
+    vals = new_adjacency_extremes(lift, math.inf).values
     assert len(lanczos_dense_calls) == 1
     assert np.array_equal(vals, new_eigenvalues(lift))
 
@@ -528,7 +561,7 @@ def test_lanczos_never_returns_an_unconverged_bound(bad, lanczos_dense_calls,
         if base.n * (n - 1):
             assert lanczos_new_extremes(lift) is None
     lift = sample_lift(complete_graph(5), 30, ModelSpec(), seed=3)
-    vals = new_adjacency_extremes(lift, math.inf)
+    vals = new_adjacency_extremes(lift, math.inf).values
     assert len(lanczos_dense_calls) == 1
     assert np.array_equal(vals, new_eigenvalues(lift))
 
@@ -551,7 +584,7 @@ def test_lanczos_extremes_survive_lost_orthogonality(lanczos_dense_calls,
             return real_matvec(qx, index)
 
         monkeypatch.setattr(spectral, "_gather_matvec", recording)
-        vals = new_adjacency_extremes(lift, math.inf)
+        vals = new_adjacency_extremes(lift, math.inf).values
         monkeypatch.setattr(spectral, "_gather_matvec", real_matvec)
         basis = np.array(vectors)
         loss = np.abs(basis @ basis.T - np.eye(len(basis))).max()

@@ -418,9 +418,6 @@ def test_tangle_query_refuses_r_below_one(r):
     ({"nu": 1.8, "r": 2.5}, "r must be an integer"),
     ({"nu": 1.8, "r": 3.0}, "r must be an integer"),
     ({"nu": 1.8, "r": True}, "r must be an integer"),
-    ({"nu": 1.8, "r": 3, "tol": -1.0}, "tol must be finite"),
-    ({"nu": 1.8, "r": 3, "tol": math.inf}, "tol must be finite"),
-    ({"nu": 1.8, "r": 3, "tol": math.nan}, "tol must be finite"),
 ])
 def test_tangle_query_refuses_vacuous_or_inverted_queries(kwargs, match):
     with pytest.raises(ValueError, match=match):
