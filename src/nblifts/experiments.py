@@ -101,9 +101,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.degrees:
             raise ConfigError("at least one cover degree is required")
-        if self.base.regular_degree() is None:  # else no count is tested
-            raise ConfigError("2*sqrt(d-1) + epsilon needs a d-regular base; "
-                              f"got degrees {sorted(set(self.base.degrees()))}")
+        if not self.base.regular_degree():  # None or 0: no threshold exists
+            raise ConfigError("2*sqrt(d-1) + epsilon needs a d-regular base "
+                              f"with d >= 1; got degrees "
+                              f"{sorted(set(self.base.degrees()))}")
         if len(set(self.degrees)) != len(self.degrees):
             raise ConfigError(
                 f"cover degrees must be distinct, got {list(self.degrees)}")
@@ -277,8 +278,6 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
         has_t = sum(1 for r in recs if r.has_tangles)
         joint = sum(1 for r in recs
                     if r.non_alon > 0 and r.has_tangles is False)
-        mu1_new = _mean([hashimoto_radius_from_adjacency(r.max_new_abs, d)
-                         for r in recs if r.max_new_abs is not None])
         lo, hi = wilson_interval(nonalon_pos, trials)
         rows.append({
             "n": n,
@@ -288,7 +287,9 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
             "hastangles_count": has_t,
             "nonalon_and_tanglefree_count": joint,
             "mean_lambda2": _mean([r.lambda2 for r in recs]),
-            "mean_mu1_new": mu1_new,
+            "mean_mu1_new": _mean([
+                hashimoto_radius_from_adjacency(r.max_new_abs, d)
+                for r in recs if r.max_new_abs is not None]),
             "disconnected_count": sum(1 for r in recs if not r.connected),
             "disconnected_with_eigenvalue_at_d": sum(
                 1 for r in recs if r.new_eig_near_d),

@@ -527,8 +527,7 @@ class NewExtremes:
     threshold: float
 
     def count_above(self, margin: float = 0.0) -> int:
-        """New eigenvalues with |lambda| + margin > threshold, with
-        multiplicity; margin 0 gives the non-Alon count."""
+        """Number of new eigenvalues with |lambda| + margin > threshold."""
         return int(np.sum(np.abs(self.values) + margin > self.threshold))
 
     @property

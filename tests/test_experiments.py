@@ -54,12 +54,13 @@ NON_REGULAR = from_pairs(2, [(0, 1), (0, 1), (0, 1), (0, 0)])
 
 
 def test_config_refuses_non_regular_base():
-    with pytest.raises(ConfigError, match=r"d-regular base; got degrees "
-                                          r"\[3, 5\]"):
+    with pytest.raises(ConfigError, match=r"d-regular base with d >= 1; got "
+                                          r"degrees \[3, 5\]"):
         small_config(base=NON_REGULAR, degrees=(10, 20), trials=20,
                      epsilon=0.1, seed=1)
-    _refused(r"d-regular base; got degrees \[3, 5\]",
-             base=graph_to_json(NON_REGULAR))
+    _refused(r"got degrees \[3, 5\]", base=graph_to_json(NON_REGULAR))
+    # no edges: every trial used to fail on sqrt(-1), and then the sweep
+    _refused(r"got degrees \[0\]", base=graph_to_json(from_pairs(2, [])))
 
 
 def test_config_json_roundtrip():

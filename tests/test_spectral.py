@@ -453,16 +453,16 @@ def _reader_lift(name):
 
 
 @pytest.mark.parametrize("name,eps,lanczos_from,dense_runs,count", [
-    ("k4_identity", 0.1, 400, 1, 5),  # dense: 24 vertices
+    ("k4_identity", 0.1, spectral.LANCZOS_MIN_VERTICES, 1, 5),  # dense
     ("k4_identity", 0.1, 0, 1, 5),  # Lanczos reaches 3 > 2.93: fallback
     ("k4_identity", 0.2, 0, 0, 0),  # Lanczos extremes kept
     ("bouquet2_n40", 0.1, 0, 1, None),  # fallback, some count above 0
-    ("k5_n100", 0.1, 400, 0, 0),  # Lanczos: 500 vertices
+    ("k5_n100", 0.1, spectral.LANCZOS_MIN_VERTICES, 0, 0),  # Lanczos
 ])
 def test_three_readers_count_alike(name, eps, lanczos_from, dense_runs, count,
                                    dense_calls, monkeypatch):
-    # run_trial, non_alon_count and spectral_report each count through
-    # NewExtremes, whichever path found the new eigenvalues
+    # the record, non_alon_count and spectral_report count alike, whichever
+    # path (dense, Lanczos or the fallback) found the new eigenvalues
     monkeypatch.setattr(spectral, "LANCZOS_MIN_VERTICES", lanczos_from)
     lift = _reader_lift(name)
     d = lift.base.regular_degree()
