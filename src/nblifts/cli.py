@@ -101,7 +101,7 @@ def cmd_spectrum(args) -> int:
             "mu1": mu1(g) if g.n else None,
             "adjacency_spectrum": [float(v) for v in adjacency_spectrum(g)],
         }
-        if d is not None:
+        if d:
             payload["ramanujan"] = is_ramanujan(g)
         res = ihara_check(g, args.tol)
         payload["ihara"] = {"status": res.status, "passed": res.passed,

@@ -372,9 +372,10 @@ def write_rows_csv(rows, csv_path):
             writer.writerow([row[c] for c in CSV_COLUMNS])
 
 
-# Numerical and model failures a trial can legitimately raise (ModelError is
-# a ValueError); anything else is a bug and propagates.
-TRIAL_ERRORS = (SpectralError, np.linalg.LinAlgError, ValueError)
+# Numerical failures a trial can legitimately raise.  ExperimentConfig checks
+# the model at every degree, the scan caps and the magnifier arguments, so
+# anything else, a ValueError included, is a bug and propagates.
+TRIAL_ERRORS = (SpectralError, np.linalg.LinAlgError)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

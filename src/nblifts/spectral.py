@@ -22,6 +22,7 @@ Smaller covers, and every full spectrum, take the dense solve.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 import math
 
 import numpy as np
@@ -133,20 +134,16 @@ def _power_spectral_radius(g: Graph, max_iter: int = 100000) -> float:
     norms agree to 1e-12 relative within max_iter steps.
     """
     m = g.num_directed
-    src = []
-    dst = []
-    for e, succs in enumerate(nb_successors(g)):
-        src.extend([e] * len(succs))
-        dst.extend(succs)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    succ = nb_successors(g)
+    src = np.repeat(np.arange(m), [len(s) for s in succ])
+    dst = np.fromiter(chain.from_iterable(succ), dtype=np.int64,
+                      count=len(src))
     x = np.full(m, 1.0 / math.sqrt(m))
     lam = 0.0
     for _ in range(max_iter):
+        # H + I maps the positive x to a positive y, so norm > 0
         y = x + np.bincount(dst, weights=x[src], minlength=m)
         norm = float(np.linalg.norm(y))
-        if norm == 0:
-            return 0.0
         y /= norm
         if abs(norm - lam) <= 1e-12 * max(1.0, norm):
             return norm - 1.0
@@ -565,6 +562,8 @@ def new_adjacency_extremes(lift: Lift, threshold: float) -> NewExtremes:
 
 def alon_threshold(d: int, eps: float = 0.0) -> float:
     """2 sqrt(d-1) + eps, the bound new eigenvalues are tested against."""
+    if d < 1:
+        raise ValueError(f"no Alon bound 2 sqrt(d-1) for degree {d} < 1")
     return 2.0 * math.sqrt(d - 1) + eps
 
 
@@ -590,38 +589,39 @@ def is_ramanujan(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class IharaResult:
-    status: str  # "checked", "skipped-nonregular", "skipped-half-loop",
-    # or "skipped-too-large" (above DENSE_HASHIMOTO_CAP directed edges)
+    status: str  # "checked", or "skipped-too-large" above DENSE_HASHIMOTO_CAP
     passed: bool | None
     max_err: float | None = None  # max over u of |1 - right/left|
 
 
 def ihara_check(g: Graph, tol: float = 1e-6) -> IharaResult:
-    """Check the Ihara-Bass identity for d-regular g without half-loops,
-    det(I - uH) = (1 - u^2)^(#E - #V) det((1 + (d-1) u^2) I - uA), by
-    slogdet at three complex u with seeded phases.  |u| = (d-1)^(-3/4) for
-    d >= 3 lies between a Ramanujan graph's zeros 1/(d-1) and 1/sqrt(d-1);
-    |u| = 1/2 for d <= 2, where a cycle's lie on |u| = 1.  Taken in log
-    space, the power needs no special case for a forest's #E < #V.
+    """Check Bass's form of the Ihara identity, extended to half-loops,
+    det(I - uH) = (1+u)^h (1 - u^2)^(#E - h - #V) det(I - uA + u^2 (D - I)),
+    with h the number of half-loops and D the degree matrix, by slogdet at
+    three complex u with seeded phases.  With d the largest degree,
+    |u| = (d-1)^(-3/4) for d >= 3 lies between a d-regular Ramanujan
+    graph's zeros 1/(d-1) and 1/sqrt(d-1); |u| = 1/2 for d <= 2, where a
+    cycle's lie on |u| = 1.  Taken in log space, the powers need no
+    special case for a forest's #E < #V.
     """
-    d = g.regular_degree()
-    if d is None:
-        return IharaResult("skipped-nonregular", None)
-    if g.has_half_loops():
-        return IharaResult("skipped-half-loop", None)
     if g.num_directed > DENSE_HASHIMOTO_CAP:
         return IharaResult("skipped-too-large", None)
     a, h = adjacency_matrix(g), hashimoto_matrix(g)
+    deg = np.asarray(g.degrees(), dtype=np.int64)
+    d = int(deg.max(initial=0))
+    halves = sum(f == e for e, f in enumerate(g.inv))
     radius = (d - 1) ** -0.75 if d >= 3 else 0.5
     phases = np.random.default_rng(0).uniform(0, 2 * math.pi, 3)
     errs = []
     for u in radius * np.exp(1j * phases):
         left, right = -u * h, -u * a  # np.eye would add two m x m temporaries
         left.flat[::len(h) + 1] += 1
-        right.flat[::g.n + 1] += 1 + (d - 1) * u * u
+        right.flat[::g.n + 1] += 1 + (deg - 1) * u * u
         sign_l, log_l = np.linalg.slogdet(left)
         sign_r, log_r = np.linalg.slogdet(right)
-        log_ratio = log_r - log_l + (g.num_edges - g.n) * np.log(1 - u * u)
+        log_ratio = (log_r - log_l
+                     + (g.num_edges - halves - g.n) * np.log(1 - u * u)
+                     + halves * np.log(1 + u))
         errs.append(abs(1 - sign_r / sign_l * np.exp(log_ratio)))
     worst = float(np.max(errs))  # nan when any error is, and then fails
     return IharaResult("checked", bool(worst <= tol), worst)
@@ -638,8 +638,11 @@ def lambda2(g: Graph) -> float:
 def hashimoto_radius_from_adjacency(lam_abs: float, d: int) -> float:
     """Largest-modulus root of mu^2 - lam*mu + (d-1) for |lam| = lam_abs.
 
-    Exact for regular graphs without half-loops (by the determinantal
-    formula); used as a fast proxy for the new Hashimoto radius.
+    Exact for d-regular graphs, half-loops included: there D - I = (d-1) I
+    in the identity ihara_check tests, so every Hashimoto eigenvalue other
+    than the +-1 of its power factors is a root of this quadratic for an
+    adjacency eigenvalue lam.  Used as a fast proxy for the new Hashimoto
+    radius.
     """
     q = d - 1
     if lam_abs * lam_abs <= 4 * q:
@@ -664,13 +667,12 @@ def spectral_report(lift: Lift, eps: float, tol: float = MULTIPLICITY_TOL,
         hsp, new_h = old_and_new(hashimoto_spectrum(lift.base), "hashimoto")
     return {
         "adjacency": cover_adj.to_json(),
-        # an empty Hashimoto spectrum (n = 1) is reported as null
-        "hashimoto": hsp.to_json() if hsp else None,
+        "hashimoto": hsp.to_json() if with_hashimoto else None,
         "new_adjacency": new_adj.to_json(),
-        "new_hashimoto": new_h.to_json() if new_h else None,
-        "non_alon_count": None if d is None else NewExtremes(
+        "new_hashimoto": new_h.to_json() if with_hashimoto else None,
+        "non_alon_count": None if not d else NewExtremes(
             np.array(new_adj.values), alon_threshold(d, eps)).count_above(),
         "epsilon": eps,
         "base_regular_degree": d,
-        "ramanujan_base": None if d is None else is_ramanujan(lift.base),
+        "ramanujan_base": None if not d else is_ramanujan(lift.base),
     }

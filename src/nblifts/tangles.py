@@ -333,8 +333,8 @@ def scan_tangles(g: Graph, query: TangleQuery,
     reps = core.orientation()
     rep_vmask, vert_fmask, vert_lmask = _orbit_masks(core, reps)
     seen_iso = set()
-    # orders <= 0 have mu1 in {0, 1}; the margin covers eigensolver noise
-    admits_one = query.admits(1.0 + 1e-6)
+    # orders <= 0 have mu1 exactly 0.0 or 1.0, found with no eigensolve
+    admits_one = query.admits(1.0)
 
     for s in reversed(range(len(reps))):
         below = (1 << s) - 1

@@ -8,7 +8,8 @@ enumerates walks level by level over non-backtracking transitions, in
 bounded chunks with one array entry per walk, and forms no matrix products.
 A walk in a level is the pair (bad, end): its last directed edge end, and
 bad = inv[first], the reverse of its first edge, at whose head the walk
-started.  Levels are extended through a successor table padded to the
+started.  Levels are extended through the rows of graphs.nb_successors,
+the one rule for which directed edges continue an edge, padded to the
 largest out-degree, so memory is O(kmax * WALK_CHUNK) for the levels plus
 O(#E^dir * max out-degree) for the table.
 
@@ -94,39 +95,12 @@ def _max_out_degree(g: Graph, k: int, budget: int) -> int:
     return max_out
 
 
-def _check_budget(g: Graph, k: int, budget: int):
-    """Refuse enumerations over the budget, as _max_out_degree does; return
-    nb_successors(g)."""
-    _max_out_degree(g, k, budget)
-    return nb_successors(g)
-
-
-def _successor_table(g: Graph, width: int) -> np.ndarray:
-    """Row e lists nb_successors(g)[e] in order, padded to width with the
-    dead index #E^dir.
-
-    Row e starts as the out-edges of head[e], ascending and padded to
-    width + 1; inv[e] is among them exactly once, and dropping it leaves
-    the successors.
-    """
-    m = g.num_directed
-    tail = np.asarray(g.tail, dtype=np.int64)
-    order = np.argsort(tail, kind="stable")
-    deg = np.bincount(tail, minlength=g.n)
-    start = np.cumsum(deg) - deg
-    ends = tail[order]
-    out = np.full((g.n, width + 1), m, dtype=np.int64)
-    out[ends, np.arange(m) - start[ends]] = order
-    rows = out[np.asarray(g.head, dtype=np.int64)]
-    inv = np.asarray(g.inv, dtype=np.int64)
-    return rows[rows != inv[:, None]].reshape(m, width)
-
-
 def enumerate_snbc(g: Graph, k: int, budget: int = 10_000_000):
     """All SNBC walks of length k, each starting edge counted separately."""
     if k < 1:
         raise ValueError("walk length must be at least 1")
-    succ = _check_budget(g, k, budget)
+    _max_out_degree(g, k, budget)
+    succ = nb_successors(g)
     walks = []
     for start in range(g.num_directed):
         t0 = g.tail[start]
@@ -153,8 +127,8 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     the reverse of its first.  Since tail[first] == head[bad], the walk
     closes exactly when head[end] == head[bad] and end != bad.  A level is
     counted, then extended through a successor table built once: row e
-    lists the non-backtracking successors of e, padded to the largest
-    out-degree with the dead index #E^dir, so the children of a level are
+    is nb_successors(g)[e], padded to the largest out-degree with the
+    dead index #E^dir, so the children of a level are
     table[end] raveled, each paired with its parent's bad; dead entries
     are dropped when out-degrees differ.  A level whose extension would
     pass WALK_CHUNK entries is split in halves first, so memory stays
@@ -168,7 +142,8 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     m = g.num_directed
     head = np.asarray(g.head, dtype=np.int64)
     inv = np.asarray(g.inv, dtype=np.int64)
-    table = _successor_table(g, width)
+    table = np.array([s + (m,) * (width - len(s)) for s in nb_successors(g)],
+                     dtype=np.int64).reshape(m, width)
     padded = bool(np.any(table[:, -1:] == m))
     counts = [0] * (kmax + 1)
 
@@ -302,13 +277,14 @@ def suppress_beads(g: Graph, bead_vertices) -> HomotopyType:
     new_v = {v: i for i, v in enumerate(
         v for v in range(g.n) if v not in vprime)}
 
-    # walk a beaded path forward from the directed edge e0
+    succ = nb_successors(g)
+
+    # walk a beaded path forward from the directed edge e0; an edge into a
+    # bead has exactly one successor
     def follow(e0):
         path = [e0]
         while g.head[path[-1]] in vprime:
-            v = g.head[path[-1]]
-            nxt = [f for f in g.out_edges(v) if f != g.inv[path[-1]]]
-            path.append(nxt[0])
+            path.append(succ[path[-1]][0])
         return tuple(path)
 
     def reverse_path(p):

@@ -220,9 +220,11 @@ def reference_count_snbc_dfs(g, kmax, budget=10_000_000_000):
     The per-walk depth-first search that count_snbc_dfs replaced, one stack
     entry per walk; a test-only reference for the level-by-level version.
     """
-    from nblifts.walks import _check_budget
+    from nblifts.graphs import nb_successors
+    from nblifts.walks import _max_out_degree
 
-    succ = _check_budget(g, kmax, budget)
+    _max_out_degree(g, kmax, budget)
+    succ = nb_successors(g)
     head = g.head
     counts = [0] * (kmax + 1)
     for start in range(g.num_directed):

@@ -80,6 +80,30 @@ def test_spectrum_lift_mode(k4_path, capsys):
     assert len(payload["new_adjacency"]["values"]) == 12
 
 
+def test_spectrum_on_an_edgeless_graph_exits_0(tmp_path, capsys):
+    # 0-regular: no bound 2 sqrt(d-1) exists, so the counts are null, as
+    # for a non-regular graph
+    path = tmp_path / "edgeless.json"
+    save_graph(from_pairs(2, []), path)
+    assert main(["spectrum", "--graph", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["regular_degree"] == 0 and "ramanujan" not in payload
+    assert payload["ihara"]["passed"] is True
+    assert main(["spectrum", "--base", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["non_alon_count"] is None
+    assert payload["ramanujan_base"] is None
+
+
+def test_spectrum_prints_an_empty_new_hashimoto_spectrum(k4_path, capsys):
+    assert main(["spectrum", "--base", k4_path, "--n", "1",
+                 "--hashimoto"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["new_adjacency"]["values"] == []
+    assert payload["new_hashimoto"] == payload["new_adjacency"]
+    assert len(payload["hashimoto"]["values"]) == 12
+
+
 def test_spectrum_requires_input(capsys):
     with pytest.raises(SystemExit) as err:
         main(["spectrum"])

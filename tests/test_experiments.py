@@ -286,14 +286,16 @@ def test_run_experiment_keeps_records_out_of_json():
 
 
 def test_run_experiment_propagates_programming_errors(monkeypatch):
+    # a ValueError too: the config is checked before any trial runs
     from nblifts import experiments
 
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
+    for error in (TypeError, ValueError):
+        def broken(*args, **kwargs):
+            raise error("bug")
 
-    monkeypatch.setattr(experiments, "run_trial", broken)
-    with pytest.raises(TypeError, match="bug"):
-        run_experiment(small_config(trials=1))
+        monkeypatch.setattr(experiments, "run_trial", broken)
+        with pytest.raises(error, match="bug"):
+            run_experiment(small_config(trials=1))
 
 
 def test_run_experiment_counts_numerical_failures(monkeypatch):

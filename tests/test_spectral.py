@@ -296,15 +296,36 @@ def test_is_ramanujan():
         is_ramanujan(from_pairs(2, [(0, 1)], [0]))
 
 
+def test_alon_bound_refuses_degree_zero():
+    lift = sample_lift(from_pairs(2), 3, ModelSpec(), 0)
+    for call in (lambda: non_alon_count(lift, 0.1),
+                 lambda: is_ramanujan(from_pairs(2))):
+        with pytest.raises(ValueError, match="degree 0 < 1"):
+            call()
+
+
 def test_ihara_check_passes_on_regular_graphs():
     for g in (cycle_graph(3), complete_graph(4), bouquet(2)):
         res = ihara_check(g)
         assert res.status == "checked" and res.passed, (res, g)
 
 
-def test_ihara_check_skips():
-    assert ihara_check(from_pairs(3, [(0, 1), (1, 2)])).status == "skipped-nonregular"
-    assert ihara_check(bouquet(1, 1)).status == "skipped-half-loop"
+def test_ihara_check_covers_non_regular_and_half_loop_graphs():
+    for g in (from_pairs(3, [(0, 1), (1, 2)]), bouquet(1, 1)):
+        res = ihara_check(g)
+        assert res.status == "checked" and res.passed, (res, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ihara_check_holds_on_every_small_multigraph(seed):
+    # mostly non-regular, half the time with half-loops: the (1+u)^h factor
+    # and the degree matrix D - I are both needed
+    from helpers import random_connected_multigraph
+    g = random_connected_multigraph(np.random.default_rng(seed),
+                                    half_loop_prob=0.5)
+    res = ihara_check(g)
+    assert res.status == "checked" and res.passed, (res, g)
 
 
 def test_bipartite_lift_spectral_symmetry():
@@ -843,7 +864,6 @@ def test_check_gap(last, step, bound, gap):
 
 
 def test_ihara_check_fails_on_a_corrupted_hashimoto_matrix(monkeypatch):
-    g = sample_lift(complete_graph(4), 60, ModelSpec(), 0).cover
     real = spectral.hashimoto_matrix
 
     def one_entry_zeroed(graph):
@@ -853,9 +873,13 @@ def test_ihara_check_fails_on_a_corrupted_hashimoto_matrix(monkeypatch):
         return h
 
     monkeypatch.setattr(spectral, "hashimoto_matrix", one_entry_zeroed)
-    res = ihara_check(g)
-    assert res.status == "checked" and res.passed is False
-    assert res.max_err > 1e-3
+    # a K4 cover, and a non-regular graph with half-loops (degrees 5, 4, 3)
+    for g in (sample_lift(complete_graph(4), 60, ModelSpec(), 0).cover,
+              from_pairs(3, [(0, 1), (0, 1), (0, 0), (1, 2), (2, 2)],
+                         [0, 1])):
+        res = ihara_check(g)
+        assert res.status == "checked" and res.passed is False
+        assert res.max_err > 1e-3
 
 
 def test_ihara_check_degree_at_most_two_and_forests():

@@ -328,6 +328,27 @@ def test_scan_never_eigensolves_low_order_candidates(monkeypatch):
     assert len(solved) < report.scanned
 
 
+def test_scan_just_above_one_never_eigensolves_low_order_candidates(
+        monkeypatch):
+    # nu = 1 + 5e-7 admits no mu1 of 0 or 1, which is all order <= 0 gives
+    from helpers import reference_scan_tangles
+    from nblifts import tangles
+    lift = sample_lift(complete_graph(4), 12, ModelSpec(), seed=5)
+    query = TangleQuery(nu=1 + 5e-7, r=3)
+    solved = []
+
+    def counting_mu1(sub):
+        solved.append(sub.order())
+        return mu1(sub)
+
+    monkeypatch.setattr(tangles, "mu1", counting_mu1)
+    report = scan_tangles(lift.cover, query, max_vertices=6,
+                          max_subgraphs=400)
+    assert all(order > 0 for order in solved)
+    want = reference_scan_tangles(lift.cover, query, 6, 400)
+    assert report.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize("base, n, nu", [
     (bouquet(2), 12, 1.2),
     (bouquet(2), 12, 2.2012),
