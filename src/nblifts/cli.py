@@ -121,6 +121,8 @@ def cmd_tangle_scan(args) -> int:
 
 def cmd_magnify_check(args) -> int:
     g = load_graph(args.graph)
+    if args.R > g.n // 2:  # the window R <= |U| <= |V|/2 holds no set
+        raise ConfigError(f"--R {args.R} is above |V|/2 = {g.n / 2:g}")
     result = is_pseudo_magnifier(g, args.R, args.gamma, mode=args.mode,
                                  trials=args.trials, seed=args.seed)
     payload = {

@@ -105,6 +105,9 @@ class ExperimentConfig:
             raise ConfigError("2*sqrt(d-1) + epsilon needs a d-regular base "
                               f"with d >= 1; got degrees "
                               f"{sorted(set(self.base.degrees()))}")
+        if not self.base.is_connected():  # every cover would be disconnected
+            raise ConfigError("the base must be connected; it has "
+                              f"{len(self.base.components())} components")
         if len(set(self.degrees)) != len(self.degrees):
             raise ConfigError(
                 f"cover degrees must be distinct, got {list(self.degrees)}")
@@ -228,7 +231,6 @@ class TrialRecord:
     max_new_abs: float | None
     lambda2: float | None
     connected: bool
-    new_eig_near_d: bool | None
     has_tangles: bool | None
     tangle_caps_hit: bool | None
     magnifier_holds: bool | None
@@ -242,7 +244,6 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
     new = new_adjacency_extremes(lift, alon_threshold(d, cfg.epsilon))
-    connected = lift.is_connected()
     has_t = caps = None
     if cfg.tangle is not None:
         rep = scan_tangles(lift.cover, cfg.tangle,
@@ -256,8 +257,8 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
             lift.cover, R, gamma, mode=mode, trials=trials, seed=seed,
             fibre_blocks=lift_fibre_blocks(lift)).holds
     return TrialRecord(n, t, new.count_above(), new.max_abs,
-                       new.lambda2(base_spectrum), connected,
-                       None if connected else new.near(d), has_t, caps, mag)
+                       new.lambda2(base_spectrum), lift.is_connected(),
+                       has_t, caps, mag)
 
 
 def _mean(values):
@@ -278,6 +279,7 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
         has_t = sum(1 for r in recs if r.has_tangles)
         joint = sum(1 for r in recs
                     if r.non_alon > 0 and r.has_tangles is False)
+        disconnected = sum(1 for r in recs if not r.connected)
         lo, hi = wilson_interval(nonalon_pos, trials)
         rows.append({
             "n": n,
@@ -290,9 +292,9 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
             "mean_mu1_new": _mean([
                 hashimoto_radius_from_adjacency(r.max_new_abs, d)
                 for r in recs if r.max_new_abs is not None]),
-            "disconnected_count": sum(1 for r in recs if not r.connected),
-            "disconnected_with_eigenvalue_at_d": sum(
-                1 for r in recs if r.new_eig_near_d),
+            "disconnected_count": disconnected,
+            # d is a new eigenvalue of a disconnected cover of a connected base
+            "disconnected_with_eigenvalue_at_d": disconnected,
             "tangle_caps_hit_count": sum(1 for r in recs if r.tangle_caps_hit),
             "magnifier_fail_count": sum(
                 1 for r in recs if r.magnifier_holds is False),

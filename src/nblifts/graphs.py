@@ -231,11 +231,14 @@ def dipole(m: int) -> Graph:
 
 
 def nb_successors(g: Graph):
-    """For each directed edge, the directed edges continuing it without backtracking."""
-    succ = []
-    for e in range(g.num_directed):
-        v = g.head[e]
-        succ.append(tuple(f for f in g.out_edges(v) if f != g.inv[e]))
+    """For each directed edge e, the out-edges of head[e] but inv[e], in
+    out-edge order; the one rule for which edges continue an edge.  For
+    the f at position i of a vertex's out-edges outs, the edge inv[f] into
+    that vertex has the successors outs[:i] + outs[i + 1:]."""
+    succ = [()] * g.num_directed
+    for outs in g._out:
+        for i, f in enumerate(outs):
+            succ[g.inv[f]] = outs[:i] + outs[i + 1:]
     return tuple(succ)
 
 
@@ -334,37 +337,30 @@ def girth(g: Graph):
     A whole-loop yields girth 1 and a parallel pair girth 2; a lone half-loop
     admits no such walk (backtracking across the wrap step), so forests and
     half-loop-only trees give math.inf.  BFS runs over directed edges with
-    non-backtracking transitions; a shortest walk never repeats a directed
+    non-backtracking transitions, and a walk closes when its first edge is
+    a successor of its last; a shortest walk never repeats a directed
     edge, so depth is capped at the number of directed edges.
     """
     m = g.num_directed
-    if m == 0:
-        return math.inf
     succ = nb_successors(g)
     best = math.inf
     for e0 in range(m):
-        t0 = g.tail[e0]
-        inv0 = g.inv[e0]
-        dist = [0] * m
-        dist[e0] = 1
+        seen = [False] * m
+        seen[e0] = True
         frontier = [e0]
         depth = 1
         while frontier and depth < best and depth <= m:
+            if any(e0 in succ[e] for e in frontier):
+                best = depth
+                break
+            nxt = []
             for e in frontier:
-                if g.head[e] == t0 and e != inv0:
-                    best = min(best, depth)
-                    break
-            else:
-                nxt = []
-                for e in frontier:
-                    for f in succ[e]:
-                        if dist[f] == 0:
-                            dist[f] = depth + 1
-                            nxt.append(f)
-                frontier = nxt
-                depth += 1
-                continue
-            break
+                for f in succ[e]:
+                    if not seen[f]:
+                        seen[f] = True
+                        nxt.append(f)
+            frontier = nxt
+            depth += 1
     return best
 
 

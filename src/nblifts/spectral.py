@@ -96,13 +96,14 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def hashimoto_matrix(g: Graph) -> np.ndarray:
     """0/1 directed-edge matrix of non-backtracking length-two walks.
 
-    Entry (e, f) is 1 when f leaves the vertex e enters and f is not the
-    reverse of e.  One broadcast marks every f leaving head[e]; inv[e] is
-    always one of them, and is then cleared.
+    Entry (e, f) is 1 when f is in nb_successors(g)[e]: f leaves the
+    vertex e enters and is not the reverse of e.  The ones are scattered
+    at flat indices e * m + f of an m*m zero array.
     """
-    tail, head = _edge_arrays(g)
-    h = (head[:, None] == tail).astype(float)
-    h[np.arange(len(tail)), np.asarray(g.inv, dtype=np.int64)] = 0.0
+    m = g.num_directed
+    flat = [e * m + f for e, succ in enumerate(nb_successors(g)) for f in succ]
+    h = np.zeros((m, m))
+    h.ravel()[np.array(flat, dtype=np.intp)] = 1.0  # a view: h is contiguous
     return h
 
 
@@ -517,7 +518,8 @@ class NewExtremes:
     values holds all of them (dense solve) or the lowest and highest
     (Lanczos, kept only when the count is zero).  Both give the full
     spectrum's count, max |new| and lambda2, since no new eigenvalue exceeds
-    the base's largest: cover and base share their spectral radius.
+    the base's largest: cover and base share their spectral radius.  The
+    new eigenvalue d of a disconnected cover is exact and not read here.
     """
 
     values: np.ndarray
@@ -535,11 +537,6 @@ class NewExtremes:
         """Second-largest cover eigenvalue, from the base's and the new."""
         every = np.sort(np.concatenate([base_spectrum, self.values]))
         return float(every[-2]) if len(every) >= 2 else None
-
-    def near(self, d: int) -> bool | None:
-        """Some new eigenvalue within 1e-6 of d or -d; None without any."""
-        vals = self.values
-        return any(abs(abs(v) - d) <= 1e-6 for v in vals) if len(vals) else None
 
 
 def new_adjacency_extremes(lift: Lift, threshold: float) -> NewExtremes:

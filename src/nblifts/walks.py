@@ -11,7 +11,8 @@ bad = inv[first], the reverse of its first edge, at whose head the walk
 started.  Levels are extended through the rows of graphs.nb_successors,
 the one rule for which directed edges continue an edge, padded to the
 largest out-degree, so memory is O(kmax * WALK_CHUNK) for the levels plus
-O(#E^dir * max out-degree) for the table.
+O(#E^dir * max out-degree) for the table.  A walk closes when its first
+edge is a successor of its last; count_snbc_dfs tests that on arrays.
 
 Homotopy types: the visited subgraph of a walk carries a first-encountered
 numbering (the from_orbits numbering); suppressing its beads (degree-2
@@ -103,14 +104,11 @@ def enumerate_snbc(g: Graph, k: int, budget: int = 10_000_000):
     succ = nb_successors(g)
     walks = []
     for start in range(g.num_directed):
-        t0 = g.tail[start]
-        bad_last = g.inv[start]
         stack = [(start, (start,))]
         while stack:
             e, path = stack.pop()
-            depth = len(path)
-            if depth == k:
-                if g.head[e] == t0 and e != bad_last:
+            if len(path) == k:
+                if start in succ[e]:  # the first edge continues the last
                     walks.append(Walk.from_edges(g, path))
                 continue
             for f in succ[e]:
@@ -125,12 +123,13 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     non-backtracking walk of its length, stored as the pair (bad, end) of
     directed edges, where end is the walk's last edge and bad = inv[first]
     the reverse of its first.  Since tail[first] == head[bad], the walk
-    closes exactly when head[end] == head[bad] and end != bad.  A level is
-    counted, then extended through a successor table built once: row e
-    is nb_successors(g)[e], padded to the largest out-degree with the
-    dead index #E^dir, so the children of a level are
-    table[end] raveled, each paired with its parent's bad; dead entries
-    are dropped when out-degrees differ.  A level whose extension would
+    closes exactly when head[end] == head[bad] and end != bad, the array
+    form of first in nb_successors(g)[end].  A level is counted, then
+    extended through a successor table built once: row e is
+    nb_successors(g)[e], padded to the largest out-degree with the dead
+    index #E^dir, so the children of a level are table[end] raveled, each
+    paired with its parent's bad; dead entries are dropped when
+    out-degrees differ.  A level whose extension would
     pass WALK_CHUNK entries is split in halves first, so memory stays
     O(kmax * WALK_CHUNK) for the levels plus O(#E^dir * max out-degree)
     for the table.  This is the brute-force side of the trace identity:
@@ -176,15 +175,15 @@ def snbc_count(g: Graph, k: int) -> int:
     """tr(H^k), exactly.
 
     matrix_power forms only powers H^j with j <= k, whose entries are
-    integers at most top^k (top the largest row sum of H), so float64 is
-    exact while #E^dir * top^k < 2^52; past that H^k is formed in Python
-    ints.
+    integers at most top^k (top the largest row sum of H: row e sums to
+    deg(head e) - 1, so top is _max_out_degree), so float64 is exact while
+    #E^dir * top^k < 2^52; past that H^k is formed in Python ints.
     """
     if k < 1:
         raise ValueError("walk length must be at least 1")
     h = hashimoto_matrix(g)
-    top = int(h.sum(axis=1).max(initial=0))
-    if h.shape[0] * top ** k >= 2 ** 52:
+    top = _max_out_degree(g, k, budget=float("inf"))
+    if g.num_directed * top ** k >= 2 ** 52:
         h = h.astype(np.int64).astype(object)
     return int(np.trace(np.linalg.matrix_power(h, k)))
 

@@ -201,14 +201,21 @@ def loop_adjacency_matrix(g):
     return a
 
 
+def reference_nb_successors(g):
+    """For each directed edge e, the out-edges of head[e] filtered one at a
+    time against inv[e]: the per-edge form nb_successors replaced, kept as
+    a test-only reference."""
+    return tuple(tuple(f for f in g.out_edges(g.head[e]) if f != g.inv[e])
+                 for e in range(g.num_directed))
+
+
 def reference_hashimoto_matrix(g):
     """The Hashimoto matrix filled one non-backtracking pair at a time;
-    test-only reference for the broadcast hashimoto_matrix."""
+    test-only reference for the scattered hashimoto_matrix."""
     import numpy as np
-    from nblifts.graphs import nb_successors
     m = g.num_directed
     h = np.zeros((m, m))
-    for e, succs in enumerate(nb_successors(g)):
+    for e, succs in enumerate(reference_nb_successors(g)):
         for f in succs:
             h[e, f] = 1.0
     return h
@@ -220,11 +227,10 @@ def reference_count_snbc_dfs(g, kmax, budget=10_000_000_000):
     The per-walk depth-first search that count_snbc_dfs replaced, one stack
     entry per walk; a test-only reference for the level-by-level version.
     """
-    from nblifts.graphs import nb_successors
     from nblifts.walks import _max_out_degree
 
     _max_out_degree(g, kmax, budget)
-    succ = nb_successors(g)
+    succ = reference_nb_successors(g)
     head = g.head
     counts = [0] * (kmax + 1)
     for start in range(g.num_directed):

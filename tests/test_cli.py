@@ -130,6 +130,18 @@ def test_magnify_check_cli(k4_path, capsys):
     assert payload["best_gamma_seen"] >= 1.0
 
 
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive", "auto"])
+def test_magnify_check_refuses_r_above_half_the_vertices(k4_path, capsys,
+                                                         mode):
+    # no vertex set of K4 has 3 <= |U| <= 2, so the check would be vacuous
+    rc = main(["magnify-check", "--graph", k4_path, "--R", "3",
+               "--gamma", "0.1", "--mode", mode])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--R 3 is above |V|/2 = 2" in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_magnify_check_refuses_nonpositive_trials(tmp_path, capsys, trials):
     path = tmp_path / "c30.json"
@@ -273,6 +285,24 @@ def test_experiment_non_regular_base_exits_3(tmp_path, capsys, monkeypatch):
                         lambda *args: trials.append(args))
     assert main(["experiment", "--config", str(cfg_path)]) == 3
     assert "d-regular base" in capsys.readouterr().err
+    assert not trials
+
+
+def test_experiment_disconnected_base_exits_3(tmp_path, capsys, monkeypatch):
+    from nblifts import experiments
+    base_path = tmp_path / "two_k4.json"
+    save_graph(from_pairs(8, [(i + s, j + s) for s in (0, 4)
+                              for i in range(4) for j in range(i + 1, 4)]),
+               base_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": str(base_path), "degrees": [2, 3], "trials": 5,
+        "epsilon": 0.2, "seed": 1}))
+    trials = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda *args: trials.append(args))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "the base must be connected" in capsys.readouterr().err
     assert not trials
 
 

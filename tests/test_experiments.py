@@ -211,7 +211,7 @@ def test_run_trial_lambda2_on_disconnected_cover(monkeypatch):
     monkeypatch.setattr(experiments, "sample_lift", lambda *args: lift)
     rec = run_trial(small_config(degrees=(4,), epsilon=0.1), 4, 0)
     assert rec.lambda2 == pytest.approx(3.0, abs=1e-9)
-    assert not rec.connected and rec.new_eig_near_d
+    assert not rec.connected
     assert rec.non_alon >= 1
 
 
@@ -733,3 +733,38 @@ def test_readme_trials_match_the_set_references(monkeypatch, overrides,
         assert not any(scan["caps_hit"] for scan in scans)
         assert all(scan["found"] for scan in scans)
         assert {mag.holds for mag in mags} == {True, False}
+
+
+TWO_K4 = from_pairs(8, [(i + s, j + s) for s in (0, 4)
+                        for i in range(4) for j in range(i + 1, 4)])
+
+
+def test_config_refuses_disconnected_base():
+    # every cover of a disconnected base is disconnected, and the d of a
+    # cover would then need the holonomy of each component
+    with pytest.raises(ConfigError, match="connected; it has 2 components"):
+        small_config(base=TWO_K4)
+    _refused("2 components", base=graph_to_json(TWO_K4))
+
+
+@pytest.mark.parametrize("kind, disconnected", [("permutation", True),
+                                                ("cyclic", False)])
+def test_disconnected_count_is_exact_on_the_lanczos_path(kind, disconnected):
+    # covers of one whole-loop are unions of sigma's cycles; at 400 vertices
+    # trials take the Lanczos path, which keeps only the extreme new values
+    from nblifts.lifts import holonomy_generators, orbit_count
+    from nblifts.spectral import new_adjacency_extremes, new_eigenvalues
+    cfg = ExperimentConfig(base=bouquet(1), model=ModelSpec(kind),
+                           degrees=(400,), trials=6, epsilon=0.1, seed=5)
+    row = run_experiment(cfg).rows[0]
+    assert row["disconnected_with_eigenvalue_at_d"] == row[
+        "disconnected_count"]
+    assert (row["disconnected_count"] > 0) == disconnected
+    for t in range(3):
+        lift = sample_lift(bouquet(1), 400, ModelSpec(kind),
+                           trial_seed(5, 400, t))
+        assert len(new_adjacency_extremes(lift, 2.1).values) == 2
+        components = orbit_count(holonomy_generators(lift), 400)
+        at_d = np.count_nonzero(np.abs(new_eigenvalues(lift) - 2) <= 1e-9)
+        assert at_d == components - 1
+        assert (components > 1) == disconnected

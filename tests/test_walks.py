@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
-    bouquet, complete_graph, cycle_graph, dipole, from_pairs, path_graph,
+    Graph, bouquet, complete_graph, cycle_graph, dipole, from_pairs, girth,
+    path_graph,
 )
 from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.walks import (
@@ -411,3 +412,61 @@ def test_count_snbc_dfs_memory_bounded_by_chunk(monkeypatch):
         tracemalloc.stop()
     assert counts == [snbc_count(g, k) for k in range(1, 13)]
     assert peak < 1 << 20, peak
+
+
+def _walk_corpus_graph(seed):
+    import numpy as np
+    from helpers import random_connected_multigraph
+    return random_connected_multigraph(np.random.default_rng(seed),
+                                       max_vertices=5, max_extra=3,
+                                       half_loop_prob=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nb_successors_matches_the_per_edge_filter(seed):
+    from helpers import reference_nb_successors
+    from nblifts.graphs import nb_successors
+    g = _walk_corpus_graph(seed)
+    assert nb_successors(g) == reference_nb_successors(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, (), (), ()), Graph(3, (), (), ()), bouquet(0, 1), bouquet(2),
+    dipole(3),
+], ids=["empty", "edgeless", "half-loop", "bouquet2", "dipole3"])
+def test_nb_successors_edge_cases_match_the_per_edge_filter(g):
+    from helpers import reference_nb_successors
+    from nblifts.graphs import nb_successors
+    assert nb_successors(g) == reference_nb_successors(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_enumeration_count_and_girth_close_walks_alike(seed):
+    # all three close a walk by "first in succ[last]", two of them in that
+    # form and count_snbc_dfs on arrays
+    g = _walk_corpus_graph(seed)
+    counts = count_snbc_dfs(g, 5)
+    for k in range(1, 6):
+        assert len(enumerate_snbc(g, k)) == counts[k - 1], k
+    shortest = next((k for k, c in enumerate(counts, 1) if c), None)
+    if shortest is None:
+        assert girth(g) > 5
+    else:
+        assert girth(g) == shortest
+
+
+def test_snbc_count_exact_on_a_non_regular_graph():
+    # degrees 4 and 2: a whole-loop and two parallel edges at vertex 0.  The
+    # float64 power loses the last digits at k = 50, so top must come from
+    # the largest degree for the Python-int path to be taken.
+    import numpy as np
+    from helpers import reference_hashimoto_matrix
+    g = from_pairs(2, [(0, 0), (0, 1), (0, 1)])
+    h = reference_hashimoto_matrix(g)
+    for k in (50, 51):
+        exact = int(np.trace(np.linalg.matrix_power(
+            h.astype(np.int64).astype(object), k)))
+        assert int(np.trace(np.linalg.matrix_power(h, k))) != exact
+        assert snbc_count(g, k) == exact
