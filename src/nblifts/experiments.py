@@ -134,6 +134,11 @@ class ExperimentConfig:
             check_magnifier_args(R, gamma, mode, trials)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"magnifier: {exc}")
+        smallest = self.base.n * min(self.degrees)
+        if R > smallest // 2:  # the window R <= |U| <= |V|/2 holds no set
+            raise ConfigError(
+                f"magnifier: R {R} is above |V|/2 = {smallest / 2:g} on "
+                f"the covers of degree {min(self.degrees)}")
         largest = self.base.n * max(self.degrees)
         if mode == "exhaustive" and largest > EXHAUSTIVE_VERTEX_CAP:
             raise ConfigError(

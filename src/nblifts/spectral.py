@@ -10,15 +10,17 @@ Trials only need the extreme new adjacency eigenvalues, which
 new_adjacency_extremes returns as a NewExtremes record, the one place where
 new eigenvalues are compared with a threshold; experiments.run_trial,
 non_alon_count and spectral_report all read it.  For covers of at least
-LANCZOS_MIN_VERTICES vertices the extremes come from matrix-free Lanczos on
-the sum-zero subspace: the plain three-term recurrence, O(N) memory, with a
-residual test on every returned value and the dense solve as fallback
-whenever an extreme reaches the threshold or the test never passes.  Its
-convergence checks run where the decay of the residual bounds predicts they
-can pass, and take the extremes of the k x k tridiagonal by Laguerre's
-iteration in O(k) per pass, with no eigensolve.  A skipped check can only
-delay a return: a value is returned only after a check at that step passes.
-Smaller covers, and every full spectrum, take the dense solve.
+LANCZOS_MIN_VERTICES vertices (280, the measured size from which Lanczos
+beats the dense solve on every base timed) the extremes come from
+matrix-free Lanczos on the sum-zero subspace: the plain three-term
+recurrence, O(N) memory, with a residual test on every returned value and
+the dense solve as fallback whenever an extreme reaches the threshold or
+the test never passes.  Its convergence checks run where the decay of the
+residual bounds predicts they can pass, and take the extremes of the k x k
+tridiagonal by Laguerre's iteration in O(k) per pass, with no eigensolve.
+A skipped check can only delay a return: a value is returned only after a
+check at that step passes.  Smaller covers, and every full spectrum, take
+the dense solve.
 """
 
 from dataclasses import dataclass
@@ -33,14 +35,29 @@ from .lifts import Lift
 DENSE_HASHIMOTO_CAP = 4000
 MULTIPLICITY_TOL = 1e-7  # relative; groups eigenvalues into pairs
 # Covers with at least this many vertices get their extreme new adjacency
-# eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms of
-# new_eigenvalues / lanczos_new_extremes over lifts of K5, K4, bouquet(2)
-# and Petersen (3 seeds each, best of 3 below 1000 vertices, 2-core Xeon,
-# numpy 2.4.6): N=200 3.0/3.2, 300 7.5/4.2, 400 13.7/4.1, 500 24.1/6.4,
-# 800 54.4/8.3, 1000 99.5/9.3, 2000 657/16.6.  Lanczos needs 120 to 300
-# steps up to 2000 vertices.  The crossover is near 200; 400 keeps the
-# 320-vertex covers of the README sweep on the dense path.
-LANCZOS_MIN_VERTICES = 400
+# eigenvalues by Lanczos, smaller ones by the dense solve.  Median ms per
+# cover of new_eigenvalues / lanczos_new_extremes, over 4 seeded permutation
+# covers of N vertices and 7 repeats, with 2 and 1 BLAS threads (2-core
+# Xeon, numpy 2.4.6 with OpenBLAS 0.3.31):
+#   N    BLAS  K4           K5           bouquet(2)   Petersen
+#   160  2     2.20/4.72    1.63/4.19    1.78/4.78    1.39/3.07
+#   160  1     2.10/4.81    1.83/4.96    1.82/5.04    1.79/4.72
+#   200  2     3.44/4.54    2.60/4.01    2.90/4.65    2.17/2.83
+#   200  1     3.45/4.83    2.77/4.67    2.81/4.37    2.74/4.60
+#   240  2     4.87/4.34    4.15/4.64    4.14/5.03    3.10/2.78
+#   240  1     4.98/4.92    4.11/4.54    4.04/4.73    4.12/4.80
+#   260  2     6.12/4.87    4.97/5.08    4.86/4.87    3.84/3.21
+#   260  1     5.75/5.03    4.82/4.72    4.70/4.78    4.89/5.52
+#   280  2     7.20/4.12    5.74/5.35    4.81/2.98    4.40/3.06
+#   280  1     6.67/5.02    5.47/4.87    5.61/4.86    5.65/5.20
+#   320  2     8.84/3.64    7.19/4.96    7.27/4.89    5.81/3.54
+#   320  1     8.77/5.51    7.32/4.97    7.42/4.80    7.45/6.10
+#   400  2     14.81/6.40   14.57/5.88   12.17/3.21   12.13/3.77
+#   400  1     14.14/6.05   14.70/5.84   14.17/5.04   14.52/6.47
+# 280 is the smallest N at which Lanczos wins on every base at both thread
+# counts (a repeat over N = 240..320 with 11 repeats agrees); the dense
+# solve grows as N^3 and Lanczos, at 120 to 300 steps, about as N.
+LANCZOS_MIN_VERTICES = 280
 LANCZOS_MAX_STEPS = 500
 LANCZOS_TOL = 1e-10
 # Lanczos convergence checks: the first comes after LANCZOS_CHECK_EVERY

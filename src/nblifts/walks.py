@@ -77,12 +77,18 @@ class Walk:
         return self.vertices[0] == self.vertices[-1]
 
     def is_nonbacktracking(self, g: Graph):
-        return all(g.inv[self.edges[i]] != self.edges[i + 1]
-                   for i in range(len(self.edges) - 1))
+        return _continues(nb_successors(g), self.edges)
 
     def is_snbc(self, g: Graph):
-        return (self.is_closed() and self.is_nonbacktracking(g)
-                and g.inv[self.edges[-1]] != self.edges[0])
+        """Closed, and non-backtracking across the wrap-around too."""
+        return (self.is_closed()
+                and _continues(nb_successors(g), self.edges + self.edges[:1]))
+
+
+def _continues(succ, edges) -> bool:
+    """Each of edges is a successor (succ, from nb_successors) of the one
+    before it."""
+    return all(f in succ[e] for e, f in zip(edges, edges[1:]))
 
 
 def _max_out_degree(g: Graph, k: int, budget: int) -> int:

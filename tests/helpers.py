@@ -55,6 +55,11 @@ def connected_multigraph_corpus(max_vertices=3, max_orbits=5):
     return out
 
 
+PETERSEN = from_pairs(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+
 def random_connected_multigraph(rng, max_vertices=6, max_extra=5,
                                 half_loop_prob=0.15):
     """Random connected multigraph: a random tree plus extra random orbits."""

@@ -306,6 +306,21 @@ def test_experiment_disconnected_base_exits_3(tmp_path, capsys, monkeypatch):
     assert not trials
 
 
+def test_experiment_refuses_a_vacuous_magnifier_window(tmp_path, k4_path,
+                                                       capsys, monkeypatch):
+    from nblifts import experiments
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "base": k4_path, "degrees": [1, 2], "trials": 2, "epsilon": 0.2,
+        "magnifier": {"R": 5, "gamma": 0.1, "mode": "sampled"}}))
+    trials = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda *args: trials.append(args))
+    assert main(["experiment", "--config", str(cfg_path)]) == 3
+    assert "R 5 is above |V|/2 = 2" in capsys.readouterr().err
+    assert not trials
+
+
 def test_experiment_fractional_trials_exits_3(tmp_path, k4_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -21,6 +21,8 @@ from nblifts.experiments import (
 )
 from nblifts.tangles import TangleQuery
 
+from helpers import PETERSEN
+
 
 def small_config(**overrides):
     params = dict(
@@ -318,11 +320,6 @@ def test_run_experiment_counts_numerical_failures(monkeypatch):
     ]
 
 
-PETERSEN = from_pairs(10, [(i, (i + 1) % 5) for i in range(5)]
-                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                      + [(i, i + 5) for i in range(5)])
-
-
 @pytest.mark.parametrize("base,n", [
     (complete_graph(4), 40), (complete_graph(5), 30), (PETERSEN, 12),
     (bouquet(2), 60),
@@ -407,6 +404,20 @@ def test_config_rejects_bad_magnifier_values():
                       {"gamma": "wide"}, [0.1]):
         with pytest.raises(ConfigError):
             small_config(magnifier=magnifier)
+
+
+def test_config_refuses_a_magnifier_window_past_the_smallest_cover():
+    # K4 covers of degree 1 have 4 vertices and of degree 2 have 8: no vertex
+    # set has 5 <= |U| <= |V|/2, so every check would hold vacuously
+    magnifier = {"R": 5, "gamma": 0.1, "mode": "sampled"}
+    with pytest.raises(ConfigError, match=r"^magnifier: R 5 is above "
+                       r"\|V\|/2 = 2 on the covers of degree 1$"):
+        small_config(degrees=(1, 2), magnifier=magnifier)
+    # bouquet(2) covers of degree 5 have |V|/2 = 2.5: R 2 fits, R 3 does not
+    cfg = dict(base=bouquet(2), degrees=(5, 9))
+    small_config(**cfg, magnifier={**magnifier, "R": 2})
+    with pytest.raises(ConfigError, match=r"R 3 is above \|V\|/2 = 2\.5 "):
+        small_config(**cfg, magnifier={**magnifier, "R": 3})
 
 
 def test_config_refuses_nonpositive_magnifier_trials():

@@ -34,6 +34,8 @@ from nblifts.spectral import (
     spectral_report,
 )
 
+from helpers import PETERSEN
+
 
 def block_ring(c):
     """Ring of c copies of K4-minus-an-edge; 3-regular with a long bottleneck."""
@@ -493,6 +495,62 @@ def test_three_readers_count_alike(name, eps, lanczos_from, dense_runs, count,
     assert got == count if count is not None else got > 0
     assert non_alon_count(lift, eps) == got
     assert spectral_report(lift, eps)["non_alon_count"] == got
+
+
+# the smallest K4 cover at LANCZOS_MIN_VERTICES, and one with 4 fewer
+# vertices; and the readme_scan degrees 40 and 80 on either side of it
+K4_AT_THE_BOUNDARY = -(-spectral.LANCZOS_MIN_VERTICES // 4)
+
+
+@pytest.mark.parametrize("n,dense_runs", [
+    (K4_AT_THE_BOUNDARY, 0), (K4_AT_THE_BOUNDARY - 1, 1), (40, 1), (80, 0),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_k4_cover_path_at_the_lanczos_boundary(n, dense_runs, seed,
+                                               dense_calls):
+    lift = sample_lift(complete_graph(4), n, ModelSpec(), seed)
+    found = new_adjacency_extremes(lift, alon_threshold(3, 0.2))
+    assert len(dense_calls) == dense_runs
+    assert found.count_above() == 0
+
+
+def _covers_from_the_boundary_to_400():
+    """The smallest and largest cover degree of each base whose covers
+    have between LANCZOS_MIN_VERTICES and 399 vertices."""
+    cases = []
+    for base, spec in [(complete_graph(4), ModelSpec()),
+                       (complete_graph(5), ModelSpec()),
+                       (bouquet(2), ModelSpec()),
+                       (bouquet(2), ModelSpec("cyclic")),
+                       (PETERSEN, ModelSpec())]:
+        low = -(-spectral.LANCZOS_MIN_VERTICES // base.n)
+        for n in (low, 399 // base.n):
+            cases.append((base, spec, n))
+    return cases
+
+
+@pytest.mark.parametrize("base,spec,n", _covers_from_the_boundary_to_400())
+def test_lanczos_extremes_match_dense_above_the_boundary(base, spec, n,
+                                                         dense_calls):
+    assert spectral.LANCZOS_MIN_VERTICES <= base.n * n < 400
+    for seed in range(2):
+        lift = sample_lift(base, n, spec, seed)
+        found = new_adjacency_extremes(lift, math.inf)
+        assert not dense_calls
+        dense = new_eigenvalues(lift)
+        assert abs(found.values[0] - dense[0]) <= 1e-12
+        assert abs(found.values[-1] - dense[-1]) <= 1e-12
+
+
+def test_disconnected_cover_at_320_vertices_stays_on_lanczos(dense_calls):
+    # 80 copies of K4: the new eigenvalues are 3 and -1, and 3 is below
+    # 2*sqrt(2) + 0.2 = 3.03, so the Lanczos extremes are kept
+    base = complete_graph(4)
+    lift = build_lift(base, PermutationAssignment.identity(base, 80))
+    found = new_adjacency_extremes(lift, alon_threshold(3, 0.2))
+    assert not dense_calls
+    assert abs(found.max_abs - 3) <= 1e-12
+    assert found.count_above() == 0
 
 
 def test_lanczos_step_cap_falls_back_to_dense(lanczos_dense_calls,
