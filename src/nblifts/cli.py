@@ -32,11 +32,12 @@ from .graphs import GraphFormatError, load_graph, save_graph, write_json
 from .lifts import HALF_LOOP_RULES, MODEL_KINDS, ModelError, ModelSpec, \
     sample_lift
 from .magnify import DEFAULT_MODE, DEFAULT_SEED, DEFAULT_TRIALS, \
-    MAGNIFIER_R, MODES, is_pseudo_magnifier
+    MAGNIFIER_R, MODES, check_exhaustive_cap, check_magnifier_args, \
+    is_pseudo_magnifier
 from .spectral import MULTIPLICITY_TOL, SpectralError, adjacency_spectrum, \
     ihara_check, is_ramanujan, mu1, spectral_report
 from .tangles import SCAN_MAX_SUBGRAPHS, SCAN_MAX_VERTICES, TangleQuery, \
-    scan_tangles
+    check_scan_caps, scan_tangles
 
 
 class VerificationFailure(RuntimeError):
@@ -63,6 +64,26 @@ def _positive_float(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for a seed: numpy's generators take no negative seed.
+    A non-integer keeps int's message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def _argument(check, *args):
+    """check(*args), whose ValueError names a bad argument: a config error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -112,7 +133,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_tangle_scan(args) -> int:
     g = load_graph(args.graph)
-    query = TangleQuery(nu=args.nu, r=args.r, strict=args.strict)
+    query = _argument(TangleQuery, args.nu, args.r, args.strict)
+    _argument(check_scan_caps, args.max_vertices, args.max_subgraphs)
     report = scan_tangles(g, query, max_vertices=args.max_vertices,
                           max_subgraphs=args.max_subgraphs)
     write_json(report.to_json(), args.out)
@@ -123,6 +145,9 @@ def cmd_magnify_check(args) -> int:
     g = load_graph(args.graph)
     if args.R > g.n // 2:  # the window R <= |U| <= |V|/2 holds no set
         raise ConfigError(f"--R {args.R} is above |V|/2 = {g.n / 2:g}")
+    _argument(check_magnifier_args, args.R, args.gamma, args.mode, args.trials)
+    if args.mode == "exhaustive":
+        _argument(check_exhaustive_cap, g.n)
     result = is_pseudo_magnifier(g, args.R, args.gamma, mode=args.mode,
                                  trials=args.trials, seed=args.seed)
     payload = {
@@ -206,7 +231,7 @@ def cmd_verify_lemmas(args) -> int:
     # the involution and binomial rows start at n = 2: below it they would
     # pass without checking a case
     if args.max_n < 2:
-        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+        raise ConfigError(f"--max-n must be at least 2, got {args.max_n}")
     rows = _lemma_rows(args.max_n)
     width = max(len(name) for name, _, _ in rows)
     failed = False
@@ -261,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base", required=True)
     add_model_args(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -271,7 +296,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--base", help="lift mode: base graph path")
     add_model_args(p)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=0.1)
     p.add_argument("--tol", type=_positive_float, default=MULTIPLICITY_TOL)
     p.add_argument("--hashimoto", action="store_true",
@@ -295,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=_finite_float, required=True)
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_magnify_check)
 
     p = sub.add_parser("verify-lemmas", help="pass/fail table of counting bounds")
@@ -314,10 +339,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # input errors only, a file that is not UTF-8 text among them; any other
+    # exception, a ValueError included, is a bug and propagates
     try:
         return args.func(args)
     except (ConfigError, ModelError, GraphFormatError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (VerificationFailure, SpectralError) as exc:

@@ -6,7 +6,8 @@ of ``inv`` are the undirected edges.  A fixed point of ``inv`` is a half-loop
 (it contributes 1 to the degree of its vertex and a single directed edge);
 an orbit of size two with equal endpoints is a whole-loop (contributing 2).
 
-Every ``Graph`` passes ``__init__``'s check; there is no unchecked
+Every ``Graph`` passes the check in ``__post_init__``, and ``__reduce__``
+sends copies and unpickled graphs through it too; there is no unchecked
 constructor.  Every derived graph is built by one of two constructors:
 ``from_orbits`` numbers a list of (u, v, half) orbits in the order given,
 and the private ``_subgraph`` keeps some directed edges of a graph and
@@ -17,7 +18,7 @@ has degree at least two.  This is stronger than merely removing leaves, since
 a vertex carrying only a half-loop has degree one and is removed too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 import math
@@ -28,15 +29,20 @@ class GraphFormatError(ValueError):
     """Raised when graph JSON fails validation; message pinpoints the record."""
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable multigraph with half-loops, keyed by dense integer ids."""
 
-    __slots__ = ("n", "tail", "head", "inv", "_out")
+    n: int
+    tail: tuple
+    head: tuple
+    inv: tuple
+    _out: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n: int, tail, head, inv):
-        tail = tuple(tail)
-        head = tuple(head)
-        inv = tuple(inv)
+    def __post_init__(self):
+        for name in ("tail", "head", "inv"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n, tail, head, inv = self.n, self.tail, self.head, self.inv
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if not (len(tail) == len(head) == len(inv)):
@@ -52,26 +58,13 @@ class Graph:
                 raise ValueError(f"edge {e}: inv is not an involution")
             if tail[f] != head[e]:
                 raise ValueError(f"edge {e}: tail(inv(e)) != head(e)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "inv", inv)
         out = [[] for _ in range(n)]
         for e in range(m):
             out[tail[e]].append(e)
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (self.n, self.tail, self.head, self.inv) == (
-            other.n, other.tail, other.head, other.inv)
-
-    def __hash__(self):
-        return hash((self.n, self.tail, self.head, self.inv))
+    def __reduce__(self):
+        return Graph, (self.n, self.tail, self.head, self.inv)
 
     def __repr__(self):
         return f"Graph(n={self.n}, directed_edges={self.num_directed})"

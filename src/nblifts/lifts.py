@@ -160,6 +160,9 @@ class PermutationAssignment:
     def __hash__(self):
         return hash((self.base, self.degree, self.sigma.tobytes()))
 
+    def __reduce__(self):  # a load re-checks sigma and makes it read-only
+        return type(self), (self.base, self.degree, self.sigma)
+
     @classmethod
     def from_dict(cls, base: Graph, degree: int, by_rep: dict):
         """Build from permutations keyed by orbit representative ids."""
@@ -209,6 +212,9 @@ class Lift:
 
     base: Graph
     assignment: PermutationAssignment
+
+    def __reduce__(self):  # no cached cover, projection or array travels
+        return Lift, (self.base, self.assignment)
 
     @cached_property
     def edge_arrays(self):

@@ -92,10 +92,9 @@ def _neighbor_masks(g: Graph):
 def _subset_tables(g: Graph):
     """For every subset mask: its neighbourhood mask, by doubling over bits."""
     masks = _neighbor_masks(g)
-    dtype = np.uint32 if g.n <= 32 else np.uint64
-    table = np.zeros(1, dtype=dtype)
+    table = np.zeros(1, dtype=np.uint32)  # n is within EXHAUSTIVE_VERTEX_CAP
     for v in range(g.n):
-        table = np.concatenate([table, table | dtype(masks[v])])
+        table = np.concatenate([table, table | np.uint32(masks[v])])
     return table
 
 
@@ -103,14 +102,20 @@ def _popcount(arr):
     return np.bitwise_count(arr).astype(np.int64)
 
 
-def _exhaustive_scan(g: Graph, gamma: float, lo: int, hi: int):
-    """(holds, witness, best_gamma) over all subsets with lo <= |U| <= hi."""
-    n = g.n
+def check_exhaustive_cap(n: int) -> None:
+    """Raise ValueError unless an exhaustive check may enumerate the 2^n
+    subsets of n vertices."""
     if n > EXHAUSTIVE_VERTEX_CAP:
         raise ValueError(
             f"exhaustive magnification capped at {EXHAUSTIVE_VERTEX_CAP} vertices")
+
+
+def _exhaustive_scan(g: Graph, gamma: float, lo: int, hi: int):
+    """(holds, witness, best_gamma) over all subsets with lo <= |U| <= hi."""
+    n = g.n
+    check_exhaustive_cap(n)
     table = _subset_tables(g)
-    ids = np.arange(1 << n, dtype=np.uint32 if n <= 32 else np.uint64)
+    ids = np.arange(1 << n, dtype=np.uint32)
     sizes = _popcount(ids)
     window = (sizes >= max(lo, 1)) & (sizes <= hi)
     if not window.any():

@@ -14,7 +14,7 @@ import math
 import numbers
 
 from .graphs import Graph, _check_ids, _subgraph, bouquet, dipole, \
-    from_pairs, prune_with_map, subgraph_from_orbits
+    from_pairs, graph_to_json, prune_with_map, subgraph_from_orbits
 from .spectral import mu1
 
 MU1_TOL = 1e-9
@@ -250,7 +250,6 @@ class TangleReport:
         return bool(self.found)
 
     def to_json(self):
-        from .graphs import graph_to_json
         return {
             "query": {"nu": self.query.nu, "r": self.query.r,
                       "strict": self.query.strict},
