@@ -13,8 +13,7 @@ import pytest
 from nblifts.experiments import ExperimentConfig, TrialRecord, run_trial
 from nblifts.graphs import Graph, bouquet, complete_graph, dipole, \
     empty_graph, from_pairs
-from nblifts.lifts import Lift, ModelSpec, PermutationAssignment, \
-    sample_lift
+from nblifts.lifts import ModelSpec, PermutationAssignment, sample_lift
 from nblifts.tangles import TangleQuery
 
 COPIERS = {
