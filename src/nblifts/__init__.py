@@ -13,6 +13,7 @@ and test vertex magnification.
 __version__ = "0.1.0"
 
 from .graphs import (
+    ArgumentError,
     Graph,
     GraphFormatError,
     GraphMorphism,

@@ -28,16 +28,16 @@ from .bounds import (
 )
 from .experiments import ConfigError, ExperimentConfig, conditioned_rows, \
     run_experiment
-from .graphs import GraphFormatError, load_graph, save_graph, write_json
+from .graphs import ArgumentError, GraphFormatError, load_graph, \
+    save_graph, write_json
 from .lifts import HALF_LOOP_RULES, MODEL_KINDS, ModelError, ModelSpec, \
     sample_lift
 from .magnify import DEFAULT_MODE, DEFAULT_SEED, DEFAULT_TRIALS, \
-    MAGNIFIER_R, MODES, check_exhaustive_cap, check_magnifier_args, \
-    is_pseudo_magnifier
+    MAGNIFIER_R, MODES, is_pseudo_magnifier
 from .spectral import MULTIPLICITY_TOL, SpectralError, adjacency_spectrum, \
     ihara_check, is_ramanujan, mu1, spectral_report
 from .tangles import SCAN_MAX_SUBGRAPHS, SCAN_MAX_VERTICES, TangleQuery, \
-    check_scan_caps, scan_tangles
+    scan_tangles
 
 
 class VerificationFailure(RuntimeError):
@@ -76,14 +76,6 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
-
-
-def _argument(check, *args):
-    """check(*args), whose ValueError names a bad argument: a config error."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -133,8 +125,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_tangle_scan(args) -> int:
     g = load_graph(args.graph)
-    query = _argument(TangleQuery, args.nu, args.r, args.strict)
-    _argument(check_scan_caps, args.max_vertices, args.max_subgraphs)
+    query = TangleQuery(nu=args.nu, r=args.r, strict=args.strict)
     report = scan_tangles(g, query, max_vertices=args.max_vertices,
                           max_subgraphs=args.max_subgraphs)
     write_json(report.to_json(), args.out)
@@ -145,9 +136,6 @@ def cmd_magnify_check(args) -> int:
     g = load_graph(args.graph)
     if args.R > g.n // 2:  # the window R <= |U| <= |V|/2 holds no set
         raise ConfigError(f"--R {args.R} is above |V|/2 = {g.n / 2:g}")
-    _argument(check_magnifier_args, args.R, args.gamma, args.mode, args.trials)
-    if args.mode == "exhaustive":
-        _argument(check_exhaustive_cap, g.n)
     result = is_pseudo_magnifier(g, args.R, args.gamma, mode=args.mode,
                                  trials=args.trials, seed=args.seed)
     payload = {
@@ -250,6 +238,8 @@ def cmd_experiment(args) -> int:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}")
+        except ValueError as exc:  # not UTF-8, or an integer past 4300 digits
+            raise ConfigError(str(exc))
     cfg = ExperimentConfig.from_json(data)
     if args.conditioned and cfg.tangle is None:
         raise ConfigError("--conditioned requires a tangle query in the config")
@@ -339,12 +329,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # input errors only, a file that is not UTF-8 text among them; any other
-    # exception, a ValueError included, is a bug and propagates
+    # input errors only; any other exception, a ValueError included, is a
+    # bug and propagates
     try:
         return args.func(args)
-    except (ConfigError, ModelError, GraphFormatError, FileNotFoundError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ConfigError, ModelError, GraphFormatError, ArgumentError,
+            FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (VerificationFailure, SpectralError) as exc:

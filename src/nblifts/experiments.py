@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .graphs import Graph, check_keys, graph_from_json, graph_to_json, \
-    load_graph, write_json
+    load_graph, reduce_through_init, write_json
 from .lifts import ModelSpec, sample_lift, validate_model
 from .magnify import (
     DEFAULT_MODE,
@@ -91,6 +91,8 @@ class ExperimentConfig:
     tangle_max_vertices: int = 6
     tangle_max_subgraphs: int = 4000
     magnifier: dict | None = None  # {"R", "gamma", "mode", "trials"}
+
+    __reduce__ = reduce_through_init
 
     def __post_init__(self):
         if self.trials < 1:

@@ -18,7 +18,7 @@ has degree at least two.  This is stronger than merely removing leaves, since
 a vertex carrying only a half-loop has degree one and is removed too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 import json
 import math
@@ -29,9 +29,23 @@ class GraphFormatError(ValueError):
     """Raised when graph JSON fails validation; message pinpoints the record."""
 
 
+class ArgumentError(ValueError):
+    """A library call's argument is refused; the message names it."""
+
+
+def reduce_through_init(self):
+    """__reduce__ of a frozen dataclass: copies and loads are rebuilt by the
+    constructor from the init fields, so they pass __post_init__'s checks."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                             if f.init)
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable multigraph with half-loops, keyed by dense integer ids."""
+    """Immutable multigraph with half-loops, keyed by dense integer ids.
+
+    Setting a field raises AttributeError, but setting any other name raises
+    TypeError on Python 3.10 to 3.13, as in every frozen slotted dataclass."""
 
     n: int
     tail: tuple
@@ -63,8 +77,7 @@ class Graph:
             out[tail[e]].append(e)
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
 
-    def __reduce__(self):
-        return Graph, (self.n, self.tail, self.head, self.inv)
+    __reduce__ = reduce_through_init
 
     def __repr__(self):
         return f"Graph(n={self.n}, directed_edges={self.num_directed})"
@@ -366,6 +379,8 @@ class GraphMorphism:
     vertex_map: tuple
     edge_map: tuple
 
+    __reduce__ = reduce_through_init
+
     def __post_init__(self):
         g, h = self.source, self.target
         vm, em = self.vertex_map, self.edge_map
@@ -502,6 +517,8 @@ def load_graph(path) -> Graph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+        except ValueError as exc:  # not UTF-8, or an integer past 4300 digits
+            raise GraphFormatError(str(exc))
     return graph_from_json(data)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, GraphMorphism, check_keys
+from .graphs import Graph, GraphMorphism, check_keys, reduce_through_init
 
 MODEL_KINDS = ("permutation", "cyclic")
 HALF_LOOP_RULES = (None, "matching", "near_matching")
@@ -43,6 +43,8 @@ class ModelSpec:
 
     kind: str = "permutation"
     half_loop: str | None = None
+
+    __reduce__ = reduce_through_init
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -160,8 +162,7 @@ class PermutationAssignment:
     def __hash__(self):
         return hash((self.base, self.degree, self.sigma.tobytes()))
 
-    def __reduce__(self):  # a load re-checks sigma and makes it read-only
-        return type(self), (self.base, self.degree, self.sigma)
+    __reduce__ = reduce_through_init  # a load makes sigma read-only again
 
     @classmethod
     def from_dict(cls, base: Graph, degree: int, by_rep: dict):
@@ -184,7 +185,10 @@ def sample_assignment(base: Graph, n: int, spec: ModelSpec,
                       seed) -> PermutationAssignment:
     """Draw a permutation assignment for the given model, deterministically."""
     _check_model(base, spec, n)
-    sig = np.empty((base.num_directed, n), dtype=np.int64)
+    try:
+        sig = np.empty((base.num_directed, n), dtype=np.int64)
+    except ValueError as exc:  # n is past what numpy can index
+        raise ModelError(str(exc))
     for rep in base.orientation():
         rng = np.random.default_rng([int(seed), rep])
         if base.inv[rep] == rep:
@@ -213,8 +217,7 @@ class Lift:
     base: Graph
     assignment: PermutationAssignment
 
-    def __reduce__(self):  # no cached cover, projection or array travels
-        return Lift, (self.base, self.assignment)
+    __reduce__ = reduce_through_init
 
     @cached_property
     def edge_arrays(self):

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .graphs import Graph, _check_ids
+from .graphs import ArgumentError, Graph, _check_ids
 from .lifts import Lift
 from .spectral import lambda2
 
@@ -102,18 +102,12 @@ def _popcount(arr):
     return np.bitwise_count(arr).astype(np.int64)
 
 
-def check_exhaustive_cap(n: int) -> None:
-    """Raise ValueError unless an exhaustive check may enumerate the 2^n
-    subsets of n vertices."""
-    if n > EXHAUSTIVE_VERTEX_CAP:
-        raise ValueError(
-            f"exhaustive magnification capped at {EXHAUSTIVE_VERTEX_CAP} vertices")
-
-
 def _exhaustive_scan(g: Graph, gamma: float, lo: int, hi: int):
     """(holds, witness, best_gamma) over all subsets with lo <= |U| <= hi."""
     n = g.n
-    check_exhaustive_cap(n)
+    if n > EXHAUSTIVE_VERTEX_CAP:
+        raise ArgumentError(
+            f"exhaustive magnification capped at {EXHAUSTIVE_VERTEX_CAP} vertices")
     table = _subset_tables(g)
     ids = np.arange(1 << n, dtype=np.uint32)
     sizes = _popcount(ids)
@@ -244,20 +238,20 @@ def is_magnifier(g: Graph, gamma: float, **options) -> MagnificationResult:
 
 def check_magnifier_args(R: int, gamma: float, mode: str,
                          trials: int) -> None:
-    """Raise ValueError unless is_pseudo_magnifier accepts these arguments.
+    """Raise ArgumentError unless is_pseudo_magnifier accepts these arguments.
 
     trials must be positive in every mode: a sampled check of no subset
     would report that the graph magnifies.
     """
     if not gamma > 0:
-        raise ValueError("gamma must be positive")
+        raise ArgumentError("gamma must be positive")
     if R < 1:
-        raise ValueError("R must be at least 1")
+        raise ArgumentError("R must be at least 1")
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {', '.join(MODES)}; "
-                         f"got {mode!r}")
+        raise ArgumentError(f"mode must be one of {', '.join(MODES)}; "
+                            f"got {mode!r}")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ArgumentError("trials must be at least 1")
 
 
 def is_pseudo_magnifier(g: Graph, R: int, gamma: float,

@@ -13,8 +13,9 @@ from itertools import permutations
 import math
 import numbers
 
-from .graphs import Graph, _check_ids, _subgraph, bouquet, dipole, \
-    from_pairs, graph_to_json, prune_with_map, subgraph_from_orbits
+from .graphs import ArgumentError, Graph, _check_ids, _subgraph, bouquet, \
+    dipole, from_pairs, graph_to_json, prune_with_map, reduce_through_init, \
+    subgraph_from_orbits
 from .spectral import mu1
 
 MU1_TOL = 1e-9
@@ -31,18 +32,20 @@ class TangleQuery:
     r: int
     strict: bool = False
 
+    __reduce__ = reduce_through_init
+
     def __post_init__(self):
         # a non-finite nu admits nothing or everything and a fractional r
         # acts as its ceiling: each would answer another query than the one
         # asked
         if not math.isfinite(self.nu):
-            raise ValueError(f"nu must be finite, got {self.nu!r}")
+            raise ArgumentError(f"nu must be finite, got {self.nu!r}")
         if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
-            raise ValueError(f"r must be an integer, got {self.r!r}")
+            raise ArgumentError(f"r must be an integer, got {self.r!r}")
         # with r < 1 no connected graph has order below r, so every scan
         # would report "no tangles" without looking
         if self.r < 1:
-            raise ValueError("r must be at least 1")
+            raise ArgumentError("r must be at least 1")
 
     def admits(self, value: float) -> bool:
         if self.strict:
@@ -264,12 +267,12 @@ class TangleReport:
 
 
 def check_scan_caps(max_vertices: int, max_subgraphs: int) -> None:
-    """Raise ValueError unless scan_tangles accepts these caps."""
+    """Raise ArgumentError unless scan_tangles accepts these caps."""
     if max_vertices < 1 or max_subgraphs < 1:
-        raise ValueError("caps must be positive")
+        raise ArgumentError("caps must be positive")
     if max_vertices > SCAN_VERTEX_CAP:
-        raise ValueError(f"max_vertices capped at {SCAN_VERTEX_CAP} "
-                         "(canonical forms would blow up factorially)")
+        raise ArgumentError(f"max_vertices capped at {SCAN_VERTEX_CAP} "
+                            "(canonical forms would blow up factorially)")
 
 
 def _orbit_masks(core, reps):

@@ -29,7 +29,7 @@ import csv
 import numpy as np
 
 from .graphs import Graph, from_orbits, from_pairs, graph_to_json, \
-    nb_successors, write_json
+    nb_successors, reduce_through_init, write_json
 from .spectral import hashimoto_matrix
 
 
@@ -238,6 +238,8 @@ class HomotopyType:
 
     reduction: Graph
     lengths: tuple
+
+    __reduce__ = reduce_through_init
 
     def __post_init__(self):
         if len(self.lengths) != self.reduction.num_edges:

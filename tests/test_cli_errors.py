@@ -4,11 +4,15 @@ is a bug and escapes main."""
 
 import json
 
+import numpy as np
 import pytest
 
 from nblifts import cli, experiments
 from nblifts.cli import main
-from nblifts.graphs import complete_graph, cycle_graph, save_graph
+from nblifts.graphs import ArgumentError, complete_graph, cycle_graph, \
+    save_graph
+from nblifts.magnify import check_magnifier_args, is_pseudo_magnifier
+from nblifts.tangles import TangleQuery, check_scan_caps
 
 
 @pytest.fixture
@@ -131,3 +135,70 @@ def test_a_file_that_is_not_utf8_text_exits_3(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: 'utf-8' codec can't decode")
+
+
+def _value_error_text(thunk):
+    """The text of the ValueError that thunk() raises."""
+    with pytest.raises(ValueError) as err:
+        thunk()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("command", ["graph", "config"])
+def test_an_integer_past_the_digit_limit_exits_3(tmp_path, capsys, command):
+    big = "9" * 5000
+    path = tmp_path / "big.json"
+    if command == "graph":
+        path.write_text('{"n": %s, "edges": []}' % big)
+        argv = ["spectrum", "--graph", str(path)]
+    else:
+        path.write_text('{"degrees": [4], "trials": %s}' % big)
+        argv = ["experiment", "--config", str(path)]
+    _refused(capsys, argv, _value_error_text(lambda: int(big)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", str(10 ** 20)],
+    ["spectrum", "--n", str(10 ** 20)],
+    ["sample", "--n", str(1 << 62)],
+])
+def test_a_degree_numpy_cannot_index_exits_3(k4_path, capsys, argv):
+    n = int(argv[2])
+    message = _value_error_text(lambda: np.empty((12, n), dtype=np.int64))
+    _refused(capsys, argv + ["--base", k4_path], message)
+
+
+def test_an_experiment_degree_numpy_cannot_index_exits_3(tmp_path, k4_path,
+                                                         capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"base": k4_path, "degrees": [10 ** 20],
+                                "trials": 1, "epsilon": 0.1}))
+    message = _value_error_text(
+        lambda: np.empty((12, 10 ** 20), dtype=np.int64))
+    _refused(capsys, ["experiment", "--config", str(path)], message)
+
+
+def test_a_decoding_error_inside_a_command_escapes_main(k4_path, monkeypatch,
+                                                        capsys):
+    def decoding_bug(*args):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "a decoding bug")
+
+    monkeypatch.setattr(cli, "sample_lift", decoding_bug)
+    with pytest.raises(UnicodeDecodeError, match="a decoding bug"):
+        main(["sample", "--base", k4_path, "--n", "3"])
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thunk, message", [
+    (lambda: TangleQuery(nu=float("nan"), r=3), "nu must be finite"),
+    (lambda: TangleQuery(nu=1.8, r=0), "r must be at least 1"),
+    (lambda: check_scan_caps(0, 10), "caps must be positive"),
+    (lambda: check_magnifier_args(1, 0.1, "sampled", 0),
+     "trials must be at least 1"),
+    (lambda: is_pseudo_magnifier(cycle_graph(30), 1, 0.1, mode="exhaustive"),
+     "exhaustive magnification capped at 20 vertices"),
+])
+def test_library_argument_refusals_are_argument_errors(thunk, message):
+    with pytest.raises(ArgumentError, match=message) as err:
+        thunk()
+    assert isinstance(err.value, ValueError)  # callers catching it still do
