@@ -18,11 +18,13 @@ arrays, the cover Graph and its projection are built from them on first
 use, through Graph's and GraphMorphism's own checks.  Whether the cover is
 connected is read from the holonomy of sigma without building the cover:
 the cover of a connected base is connected exactly when the holonomy acts
-transitively on one fibre (Amit and Linial 2002).
+transitively on one fibre (Amit and Linial 2002).  base_plan computes
+what these read from the base alone once per base.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,10 +121,43 @@ def _uniform_involution(rng, n):
     return sigma
 
 
-def _invert(sigma):
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(len(sigma))
-    return inv
+BasePlan = namedtuple("BasePlan", "reps pairs tail head inv connected tree "
+                                  "cycles maxdeg out_table")
+
+
+@lru_cache(maxsize=64)
+def base_plan(base: Graph) -> BasePlan:
+    """What every lift of base reads from base alone, built on the first
+    call for an equal graph: its orientation reps, its tail, head and inv,
+    and (rep, inv rep) for each rep that is no half-loop; the (e, tail e,
+    head e) of the edges by which a depth-first search from vertex 0 first
+    reaches each vertex (tree, in order) and of the other reps (cycles);
+    and out_table[j, v], v's j-th out-edge or num_directed past deg(v).
+    Every array is read-only int64."""
+    def frozen(rows, *width):
+        arr = np.array(rows, dtype=np.int64).reshape(-1, *width)
+        arr.flags.writeable = False
+        return arr
+    reached, tree, stack = [v == 0 for v in range(base.n)], [], [0][:base.n]
+    while stack:
+        v = stack.pop()
+        for e in base.out_edges(v):
+            w = base.head[e]
+            if not reached[w]:
+                reached[w] = True
+                tree.append((e, v, w))
+                stack.append(w)
+    in_tree = {min(e, base.inv[e]) for e, _, _ in tree}
+    degrees, reps = base.degrees(), base.orientation()
+    table = np.full((max(degrees, default=0), base.n), base.num_directed)
+    for v in range(base.n):
+        table[:degrees[v], v] = base.out_edges(v)
+    table.flags.writeable = False
+    pairs = [(e, base.inv[e]) for e in reps if base.inv[e] != e]
+    cycles = [(e, base.tail[e], base.head[e]) for e in reps if e not in in_tree]
+    return BasePlan(reps, frozen(pairs, 2), frozen(base.tail),
+                    frozen(base.head), frozen(base.inv), all(reached),
+                    tuple(tree), frozen(cycles, 3), len(table), table)
 
 
 @dataclass(frozen=True)
@@ -134,20 +169,21 @@ class PermutationAssignment:
     sigma: np.ndarray  # shape (num_directed, degree)
 
     def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=np.int64)
-        if sig.shape != (self.base.num_directed, self.degree):
+        # a copy: freezing sigma leaves the caller's array writeable
+        sig, n = np.array(self.sigma, dtype=np.int64), self.degree
+        if sig.shape != (self.base.num_directed, n):
             raise ValueError("sigma has wrong shape")
         object.__setattr__(self, "sigma", sig)
-        ident = np.arange(self.degree)
-        not_perm = (np.sort(sig, axis=1) != ident).any(axis=1)
-        # sigma[inv e][sigma[e][i]] == i; a row that is no permutation fails
-        # the check above first, so clipping its entries changes no error
-        inv = np.asarray(self.base.inv, dtype=np.int64)
-        back = sig[inv[:, None], sig.clip(0, self.degree - 1)]
-        bad = not_perm | (back != ident).any(axis=1)
-        if bad.any():
+        # a row in [0, n) with a left inverse, its partner row (sigma[inv e]
+        # [sigma[e][i]] == i), is one-to-one, so a permutation
+        ident = np.arange(n)
+        outside = sig.size > 0 and (sig.min() < 0 or sig.max() >= n)
+        back = sig[base_plan(self.base).inv[:, None],
+                   sig.clip(0, n - 1) if outside else sig]
+        if outside or (back != ident).any():
+            bad = ((sig < 0) | (sig >= n) | (back != ident)).any(axis=1)
             e = int(np.argmax(bad))  # the lowest bad edge
-            if not_perm[e]:
+            if set(sig[e].tolist()) != set(range(n)):
                 raise ValueError(f"sigma[{e}] is not a permutation")
             raise ValueError(
                 f"sigma on edge {e} and its partner are not inverse")
@@ -168,11 +204,10 @@ class PermutationAssignment:
     def from_dict(cls, base: Graph, degree: int, by_rep: dict):
         """Build from permutations keyed by orbit representative ids."""
         sig = np.empty((base.num_directed, degree), dtype=np.int64)
-        for rep in base.orientation():
-            perm = np.asarray(by_rep[rep], dtype=np.int64)
-            sig[rep] = perm
-            if base.inv[rep] != rep:
-                sig[base.inv[rep]] = _invert(perm)
+        plan = base_plan(base)
+        for rep in plan.reps:
+            sig[rep] = by_rep[rep]
+        sig[plan.pairs[:, 1:], sig[plan.pairs[:, 0]]] = np.arange(degree)
         return cls(base, degree, sig)
 
     @classmethod
@@ -189,18 +224,18 @@ def sample_assignment(base: Graph, n: int, spec: ModelSpec,
         sig = np.empty((base.num_directed, n), dtype=np.int64)
     except ValueError as exc:  # n is past what numpy can index
         raise ModelError(str(exc))
-    for rep in base.orientation():
+    plan = base_plan(base)
+    for rep in plan.reps:
         rng = np.random.default_rng([int(seed), rep])
         if base.inv[rep] == rep:
             # _check_model matched n's parity to the half-loop rule
-            perm = _uniform_involution(rng, n)
+            sig[rep] = _uniform_involution(rng, n)
         elif base.tail[rep] == base.head[rep] and spec.kind == "cyclic":
-            perm = _uniform_cycle(rng, n)
+            sig[rep] = _uniform_cycle(rng, n)
         else:
-            perm = rng.permutation(n)
-        sig[rep] = perm
-        if base.inv[rep] != rep:
-            sig[base.inv[rep]] = _invert(perm)
+            sig[rep] = rng.permutation(n)
+    # each partner row is the inverse of its rep's, all in one scatter
+    sig[plan.pairs[:, 1:], sig[plan.pairs[:, 0]]] = np.arange(n)
     return PermutationAssignment(base, n, sig)
 
 
@@ -222,11 +257,9 @@ class Lift:
     @cached_property
     def edge_arrays(self):
         """The cover's tail and head as read-only int64 arrays."""
-        n = self.assignment.degree
-        tail = (np.asarray(self.base.tail, dtype=np.int64)[:, None] * n
-                + np.arange(n)).ravel()
-        head = (np.asarray(self.base.head, dtype=np.int64)[:, None] * n
-                + self.assignment.sigma).ravel()
+        n, plan = self.assignment.degree, base_plan(self.base)
+        tail = (plan.tail[:, None] * n + np.arange(n)).ravel()
+        head = (plan.head[:, None] * n + self.assignment.sigma).ravel()
         tail.flags.writeable = False
         head.flags.writeable = False
         return tail, head
@@ -235,7 +268,7 @@ class Lift:
     def cover(self) -> Graph:
         n = self.assignment.degree
         tail, head = self.edge_arrays
-        inv = (np.asarray(self.base.inv, dtype=np.int64)[:, None] * n
+        inv = (base_plan(self.base).inv[:, None] * n
                + self.assignment.sigma).ravel()
         return Graph(self.base.n * n, tail.tolist(), head.tolist(),
                      inv.tolist())
@@ -249,14 +282,9 @@ class Lift:
             tuple((np.arange(self.base.num_directed * n) // n).tolist()))
 
     def is_connected(self) -> bool:
-        """Whether the cover is connected, read from sigma's holonomy
-        without building the cover."""
-        if self.base.n == 0:
-            return True
-        if not self.base.is_connected():
-            return False
-        return orbit_count(holonomy_generators(self),
-                           self.assignment.degree) == 1
+        """Whether the cover is connected, from sigma's holonomy alone."""
+        return self.base.n == 0 or base_plan(self.base).connected and (
+            orbit_count(holonomy_generators(self), self.assignment.degree) == 1)
 
 
 def build_lift(base: Graph, assignment: PermutationAssignment) -> Lift:
@@ -279,28 +307,19 @@ def holonomy_generators(lift: Lift):
     the holonomy action on [n].
     """
     base, sig, n = lift.base, lift.assignment.sigma, lift.assignment.degree
-    if not base.is_connected():
+    plan = base_plan(base)
+    if not plan.connected:
         raise ValueError("holonomy generators need a connected base")
-    gauge = [None] * base.n
+    if not plan.tree:  # one vertex, whose gauge is the identity
+        return list(sig[plan.cycles[:, 0]])
+    gauge = np.empty((base.n, n), dtype=np.int64)
     gauge[0] = np.arange(n)
-    tree = set()
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in base.out_edges(v):
-            w = base.head[e]
-            if gauge[w] is None:
-                gauge[w] = sig[e][gauge[v]]
-                tree.add(min(e, base.inv[e]))
-                stack.append(w)
-    gens = []
-    for rep in base.orientation():
-        if min(rep, base.inv[rep]) in tree:
-            continue
-        gv = gauge[base.tail[rep]]
-        gw_inv = _invert(gauge[base.head[rep]])
-        gens.append(gw_inv[sig[rep][gv]])
-    return gens
+    for e, v, w in plan.tree:
+        gauge[w] = sig[e, gauge[v]]
+    inverse = np.empty_like(gauge)
+    inverse[np.arange(base.n)[:, None], gauge] = np.arange(n)
+    rep, v, w = plan.cycles.T
+    return list(inverse[w[:, None], sig[rep[:, None], gauge[v]]])
 
 
 def orbit_count(generators, n: int) -> int:
@@ -317,4 +336,6 @@ def orbit_count(generators, n: int) -> int:
             if a != b:
                 parent[a] = b
                 count -= 1
+                if count == 1:  # a single orbit: nothing is left to merge
+                    return 1
     return count

@@ -269,6 +269,64 @@ def reference_assignment_error(base, degree, sigma):
     return None
 
 
+def reference_sort_assignment_error(base, degree, sigma):
+    """The message PermutationAssignment raises for sigma, or None, by the
+    sort-based check the range test and partner gather replaced: a row is
+    a permutation when it sorts to 0..n-1.  Kept as a test-only reference."""
+    import numpy as np
+    sig = np.asarray(sigma, dtype=np.int64)
+    ident = np.arange(degree)
+    not_perm = (np.sort(sig, axis=1) != ident).any(axis=1)
+    inv = np.asarray(base.inv, dtype=np.int64)
+    back = sig[inv[:, None], sig.clip(0, degree - 1)]
+    bad = not_perm | (back != ident).any(axis=1)
+    if not bad.any():
+        return None
+    e = int(np.argmax(bad))
+    if not_perm[e]:
+        return f"sigma[{e}] is not a permutation"
+    return f"sigma on edge {e} and its partner are not inverse"
+
+
+def reference_summaries(values, threshold, base_spectrum, margin=0.0):
+    """NewExtremes' count_above(margin), max_abs and lambda2(base_spectrum)
+    by the formulas on the whole arrays that reading the ascending values
+    from their ends replaced; kept as a test-only reference."""
+    import numpy as np
+    count = int(np.sum(np.abs(values) + margin > threshold))
+    max_abs = float(np.abs(values).max()) if len(values) else None
+    every = np.sort(np.concatenate([base_spectrum, values]))
+    return count, max_abs, float(every[-2]) if len(every) >= 2 else None
+
+
+def reference_holonomy_generators(lift):
+    """lifts.holonomy_generators with the spanning tree searched again on
+    every call, the form the per-base plan replaced; a test-only
+    reference."""
+    import numpy as np
+    base, sig, n = lift.base, lift.assignment.sigma, lift.assignment.degree
+    gauge = [None] * base.n
+    gauge[0] = np.arange(n)
+    tree = set()
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for e in base.out_edges(v):
+            w = base.head[e]
+            if gauge[w] is None:
+                gauge[w] = sig[e][gauge[v]]
+                tree.add(min(e, base.inv[e]))
+                stack.append(w)
+    gens = []
+    for rep in base.orientation():
+        if min(rep, base.inv[rep]) in tree:
+            continue
+        gw_inv = np.empty(n, dtype=np.int64)
+        gw_inv[gauge[base.head[rep]]] = np.arange(n)
+        gens.append(gw_inv[sig[rep][gauge[base.tail[rep]]]])
+    return gens
+
+
 def reference_lanczos_new_extremes(lift):
     """spectral.lanczos_new_extremes with A q as a bincount scatter-add over
     the cover's edges, the form the gather replaced; kept as a test-only
