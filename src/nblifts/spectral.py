@@ -429,7 +429,7 @@ def _gather_matvec(qx: np.ndarray, gather) -> np.ndarray:
     each vertex's terms one at a time in ascending base edge id (a sum over
     the leading axis is sequential, not pairwise), and padding adds +0.0.
     """
-    index, gathered, out = gather  # "clip" writes out unbuffered
+    index, gathered, out = gather  # mode "clip" lets take write unbuffered
     np.take(qx, index, out=gathered, mode="clip")
     return np.add.reduce(gathered, axis=0, out=out)
 
