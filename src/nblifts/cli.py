@@ -7,7 +7,6 @@ combinations, malformed graphs).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -29,7 +28,7 @@ from .bounds import (
 from .experiments import ConfigError, ExperimentConfig, conditioned_rows, \
     run_experiment
 from .graphs import ArgumentError, GraphFormatError, load_graph, \
-    save_graph, write_json
+    read_json, save_graph, write_json
 from .lifts import HALF_LOOP_RULES, MODEL_KINDS, ModelError, ModelSpec, \
     sample_lift
 from .magnify import DEFAULT_MODE, DEFAULT_SEED, DEFAULT_TRIALS, \
@@ -233,13 +232,7 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}")
-        except ValueError as exc:  # not UTF-8, or an integer past 4300 digits
-            raise ConfigError(str(exc))
+    data = read_json(args.config, ConfigError)
     cfg = ExperimentConfig.from_json(data)
     if args.conditioned and cfg.tangle is None:
         raise ConfigError("--conditioned requires a tangle query in the config")

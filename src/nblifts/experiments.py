@@ -9,27 +9,20 @@ intervals summarize the rare-event frequencies, since normal intervals
 mislead at the counts seen here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import csv
 import math
-import numbers
 import platform
-import sys
 
 import numpy as np
 
 from . import __version__
-from .graphs import Graph, check_keys, graph_from_json, graph_to_json, \
-    load_graph, reduce_through_init, write_json
-from .lifts import ModelSpec, sample_lift, validate_model
-from .magnify import (
-    DEFAULT_MODE,
-    EXHAUSTIVE_VERTEX_CAP,
-    MAGNIFIER_R,
-    check_magnifier_args,
-    is_pseudo_magnifier,
-    lift_fibre_blocks,
-)
+from .graphs import ArgumentError, Graph, check_finite, check_integer, \
+    check_keys, graph_from_json, graph_to_json, load_graph, \
+    reduce_through_init, write_json
+from .lifts import ModelError, ModelSpec, _check_model, sample_lift
+from .magnify import EXHAUSTIVE_VERTEX_CAP, MagnifierQuery, \
+    is_pseudo_magnifier, lift_fibre_blocks
 from .spectral import (
     SpectralError,
     adjacency_spectrum,
@@ -56,31 +49,23 @@ WILSON_Z = 1.96  # normal quantile of the 95% Wilson intervals
 def _integer(value, name: str) -> int:
     """value as an int; 8.0 loads, but a fraction, a boolean or a string is
     refused instead of being truncated or parsed."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    check_integer(value, name, ConfigError)
     return int(value)
 
 
 def _real(value, name: str) -> float:
     """value as a float; a boolean, a string, nan, an infinity (json.load
     accepts NaN and Infinity) or an integer past float range is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # false for nan
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+    check_finite(value, name, ConfigError)
     return float(value)
-
-
-def _magnifier_args(m: dict):
-    """(R, gamma, mode, trials) of a magnifier block, defaults filled in."""
-    return (_integer(m.get("R", MAGNIFIER_R), "R"),
-            _real(m["gamma"], "gamma"), m.get("mode", DEFAULT_MODE),
-            _integer(m.get("trials", 100), "trials"))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's settings; every rule is checked here, however it is made."""
+
     base: Graph
     model: ModelSpec
     degrees: tuple
@@ -90,11 +75,20 @@ class ExperimentConfig:
     tangle: TangleQuery | None = None
     tangle_max_vertices: int = 6
     tangle_max_subgraphs: int = 4000
-    magnifier: dict | None = None  # {"R", "gamma", "mode", "trials"}
+    magnifier: MagnifierQuery | None = None
 
     __reduce__ = reduce_through_init
 
     def __post_init__(self):
+        object.__setattr__(self, "degrees", tuple(
+            _integer(n, "degrees") for n in self.degrees))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        for cap in ("max_vertices", "max_subgraphs"):
+            name = "tangle_" + cap
+            object.__setattr__(self, name, _integer(getattr(self, name),
+                                                    "tangle " + cap))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.epsilon <= 0:
@@ -114,35 +108,40 @@ class ExperimentConfig:
             raise ConfigError(
                 f"cover degrees must be distinct, got {list(self.degrees)}")
         for n in self.degrees:
-            if not validate_model(self.base, self.model, n):
-                raise ConfigError(
-                    f"degree {n} violates the model's parity or half-loop rules")
+            try:
+                _check_model(self.base, self.model, n)
+            except ModelError as exc:
+                raise ConfigError(f"degree {n}: {exc}")
         if self.tangle is not None:
             try:
                 check_scan_caps(self.tangle_max_vertices,
                                 self.tangle_max_subgraphs)
-            except ValueError as exc:
+            except ArgumentError as exc:
                 raise ConfigError(f"tangle: {exc}")
         if self.magnifier is not None:
             self._check_magnifier()
 
     def _check_magnifier(self):
         m = self.magnifier
-        check_keys(m, MAGNIFIER_KEYS, "magnifier", ConfigError)
-        if "gamma" not in m:
-            raise ConfigError("magnifier: gamma is required")
-        try:
-            R, gamma, mode, trials = _magnifier_args(m)
-            check_magnifier_args(R, gamma, mode, trials)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"magnifier: {exc}")
+        if not isinstance(m, MagnifierQuery):  # a block, as JSON gives it
+            check_keys(m, MAGNIFIER_KEYS, "magnifier", ConfigError)
+            if "gamma" not in m:
+                raise ConfigError("magnifier: gamma is required")
+            load = {"R": _integer, "gamma": _real, "trials": _integer}
+            try:
+                m = MagnifierQuery(**{key: load[key](value, key)
+                                      if key in load else value
+                                      for key, value in m.items()})
+            except ValueError as exc:
+                raise ConfigError(f"magnifier: {exc}")
+            object.__setattr__(self, "magnifier", m)
         smallest = self.base.n * min(self.degrees)
-        if R > smallest // 2:  # the window R <= |U| <= |V|/2 holds no set
+        if m.R > smallest // 2:  # the window R <= |U| <= |V|/2 holds no set
             raise ConfigError(
-                f"magnifier: R {R} is above |V|/2 = {smallest / 2:g} on "
+                f"magnifier: R {m.R} is above |V|/2 = {smallest / 2:g} on "
                 f"the covers of degree {min(self.degrees)}")
         largest = self.base.n * max(self.degrees)
-        if mode == "exhaustive" and largest > EXHAUSTIVE_VERTEX_CAP:
+        if m.mode == "exhaustive" and largest > EXHAUSTIVE_VERTEX_CAP:
             raise ConfigError(
                 f"magnifier: exhaustive mode is capped at "
                 f"{EXHAUSTIVE_VERTEX_CAP} vertices; covers reach {largest}")
@@ -156,12 +155,12 @@ class ExperimentConfig:
             "epsilon": self.epsilon,
             "seed": self.seed,
             "tangle": (None if self.tangle is None else {
-                "nu": self.tangle.nu, "r": self.tangle.r,
-                "strict": self.tangle.strict,
+                **asdict(self.tangle),
                 "max_vertices": self.tangle_max_vertices,
                 "max_subgraphs": self.tangle_max_subgraphs,
             }),
-            "magnifier": self.magnifier,
+            "magnifier": (None if self.magnifier is None
+                          else asdict(self.magnifier)),
         }
 
     @classmethod
@@ -173,36 +172,34 @@ class ExperimentConfig:
                 base = load_graph(base)
             else:
                 base = graph_from_json(base)
-            model = ModelSpec.from_json(data.get("model", {}))
-            tangle_cfg = data.get("tangle")
+            block = data.get("tangle")
             tangle = None
-            caps = {}  # the absent ones keep the dataclass defaults
-            if tangle_cfg is not None:
-                check_keys(tangle_cfg, TANGLE_KEYS, "tangle", ConfigError)
-                strict = tangle_cfg.get("strict", TangleQuery.strict)
+            if block is not None:
+                check_keys(block, TANGLE_KEYS, "tangle", ConfigError)
+                strict = block.get("strict", TangleQuery.strict)
                 if not isinstance(strict, bool):
                     raise ConfigError(
                         f"tangle strict must be true or false, got {strict!r}")
-                nu = _real(tangle_cfg["nu"], "tangle nu")
-                r = _integer(tangle_cfg["r"], "tangle r")
+                nu = _real(block["nu"], "tangle nu")
+                r = _integer(block["r"], "tangle r")
                 try:
                     tangle = TangleQuery(nu=nu, r=r, strict=strict)
-                except ValueError as exc:
+                except ArgumentError as exc:
                     raise ConfigError(f"tangle: {exc}")
-                for key in ("max_vertices", "max_subgraphs"):
-                    if key in tangle_cfg:
-                        caps["tangle_" + key] = _integer(tangle_cfg[key],
-                                                         "tangle " + key)
+            caps = block or {}  # the absent caps keep the defaults
             return cls(
                 base=base,
-                model=model,
-                degrees=tuple(_integer(n, "degrees") for n in data["degrees"]),
-                trials=_integer(data["trials"], "trials"),
-                epsilon=_real(data["epsilon"], "epsilon"),
-                seed=_integer(data.get("seed", 0), "seed"),
+                model=ModelSpec.from_json(data.get("model", {})),
+                degrees=data["degrees"],
+                trials=data["trials"],
+                epsilon=data["epsilon"],
+                seed=data.get("seed", 0),
                 tangle=tangle,
+                tangle_max_vertices=caps.get("max_vertices",
+                                             cls.tangle_max_vertices),
+                tangle_max_subgraphs=caps.get("max_subgraphs",
+                                              cls.tangle_max_subgraphs),
                 magnifier=data.get("magnifier"),
-                **caps,
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}")
@@ -258,10 +255,10 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
                            max_subgraphs=cfg.tangle_max_subgraphs)
         has_t, caps = rep.has_tangles(), rep.caps_hit
     mag = None
-    if cfg.magnifier is not None:
-        R, gamma, mode, trials = _magnifier_args(cfg.magnifier)
+    m = cfg.magnifier
+    if m is not None:
         mag = is_pseudo_magnifier(
-            lift.cover, R, gamma, mode=mode, trials=trials, seed=seed,
+            lift.cover, m.R, m.gamma, mode=m.mode, trials=m.trials, seed=seed,
             fibre_blocks=lift_fibre_blocks(lift)).holds
     return TrialRecord(n, t, new.count_above(), new.max_abs,
                        new.lambda2(base_spectrum), lift.is_connected(),

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 import json
 import math
+import numbers
 import sys
 
 
@@ -31,6 +32,20 @@ class GraphFormatError(ValueError):
 
 class ArgumentError(ValueError):
     """A library call's argument is refused; the message names it."""
+
+
+def check_integer(value, name: str, error=ArgumentError) -> None:
+    """Raise error unless value is an integer; 8.0 and True are not."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite(value, name: str, error=ArgumentError) -> None:
+    """Raise error unless value is a finite number; True is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for nan
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def reduce_through_init(self):
@@ -454,10 +469,10 @@ def check_keys(data, expected, where: str, error):
                     f"expected {list(expected)}")
 
 
-def _json_int(value) -> bool:
-    """A JSON integer; true and false are not integers here, although
-    Python's bool is an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_integer(value) -> bool:
+    """An integer; true and false are not integers here, although Python's
+    bool is an int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def graph_from_json(data) -> Graph:
@@ -470,7 +485,7 @@ def graph_from_json(data) -> Graph:
     if "vertices" not in data or "edges" not in data:
         raise GraphFormatError("missing required keys 'vertices' and 'edges'")
     n = data["vertices"]
-    if not _json_int(n) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise GraphFormatError("'vertices' must be a non-negative integer")
     edges = data["edges"]
     if not isinstance(edges, list):
@@ -485,7 +500,7 @@ def graph_from_json(data) -> Graph:
         if not isinstance(rec, dict):
             raise GraphFormatError(f"{where}: must be an object")
         for key in ("id", "tail", "head", "inv"):
-            if key not in rec or not _json_int(rec[key]):
+            if key not in rec or not _is_integer(rec[key]):
                 raise GraphFormatError(f"{where}: missing or non-integer '{key}'")
         e = rec["id"]
         if not (0 <= e < m):
@@ -511,15 +526,19 @@ def graph_from_json(data) -> Graph:
     return Graph(n, tail, head, inv)
 
 
-def load_graph(path) -> Graph:
+def read_json(path, error):
+    """The package's one JSON reader: the file's value, or error(message)."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+            raise error(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
         except ValueError as exc:  # not UTF-8, or an integer past 4300 digits
-            raise GraphFormatError(str(exc))
-    return graph_from_json(data)
+            raise error(str(exc))
+
+
+def load_graph(path) -> Graph:
+    return graph_from_json(read_json(path, GraphFormatError))
 
 
 def write_json(payload, path=None):

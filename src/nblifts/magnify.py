@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .graphs import ArgumentError, Graph, _check_ids
+from .graphs import ArgumentError, Graph, _check_ids, check_finite, \
+    check_integer, reduce_through_init
 from .lifts import Lift
 from .spectral import lambda2
 
@@ -34,6 +35,7 @@ MAGNIFIER_R = 1  # a magnifier is a pseudo-magnifier with R = 1; R's default
 DEFAULT_MODE = "auto"  # a check's defaults: mode, sampled subsets, seed
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 0
+QUERY_TRIALS = 100  # a MagnifierQuery's sampled subsets per cover
 
 
 @dataclass(frozen=True)
@@ -240,9 +242,13 @@ def check_magnifier_args(R: int, gamma: float, mode: str,
                          trials: int) -> None:
     """Raise ArgumentError unless is_pseudo_magnifier accepts these arguments.
 
-    trials must be positive in every mode: a sampled check of no subset
-    would report that the graph magnifies.
+    An infinite gamma would refute at the first candidate.  trials must be
+    positive in every mode: a sampled check of no subset would report that
+    the graph magnifies.
     """
+    check_integer(R, "R")
+    check_finite(gamma, "gamma")
+    check_integer(trials, "trials")
     if not gamma > 0:
         raise ArgumentError("gamma must be positive")
     if R < 1:
@@ -252,6 +258,21 @@ def check_magnifier_args(R: int, gamma: float, mode: str,
                             f"got {mode!r}")
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
+
+
+@dataclass(frozen=True)
+class MagnifierQuery:
+    """is_pseudo_magnifier's arguments for the check made on each cover."""
+
+    gamma: float
+    R: int = MAGNIFIER_R
+    mode: str = DEFAULT_MODE
+    trials: int = QUERY_TRIALS
+
+    __reduce__ = reduce_through_init
+
+    def __post_init__(self):
+        check_magnifier_args(self.R, self.gamma, self.mode, self.trials)
 
 
 def is_pseudo_magnifier(g: Graph, R: int, gamma: float,

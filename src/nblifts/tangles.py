@@ -8,14 +8,13 @@ search, not a decision procedure: when its caps are hit, an empty result
 means "none found within caps", never certified tangle-freeness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 import math
-import numbers
 
 from .graphs import ArgumentError, Graph, _check_ids, _subgraph, bouquet, \
-    dipole, from_pairs, graph_to_json, prune_with_map, reduce_through_init, \
-    subgraph_from_orbits
+    check_finite, check_integer, dipole, from_pairs, graph_to_json, \
+    prune_with_map, reduce_through_init, subgraph_from_orbits
 from .spectral import mu1
 
 MU1_TOL = 1e-9
@@ -35,13 +34,14 @@ class TangleQuery:
     __reduce__ = reduce_through_init
 
     def __post_init__(self):
-        # a non-finite nu admits nothing or everything and a fractional r
-        # acts as its ceiling: each would answer another query than the one
-        # asked
-        if not math.isfinite(self.nu):
-            raise ArgumentError(f"nu must be finite, got {self.nu!r}")
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
-            raise ArgumentError(f"r must be an integer, got {self.r!r}")
+        # a non-finite nu admits nothing or everything, a fractional r acts
+        # as its ceiling and a truthy string as strict: each would answer
+        # another query than the one asked
+        check_finite(self.nu, "nu")
+        check_integer(self.r, "r")
+        if not isinstance(self.strict, bool):
+            raise ArgumentError(
+                f"strict must be true or false, got {self.strict!r}")
         # with r < 1 no connected graph has order below r, so every scan
         # would report "no tangles" without looking
         if self.r < 1:
@@ -254,8 +254,7 @@ class TangleReport:
 
     def to_json(self):
         return {
-            "query": {"nu": self.query.nu, "r": self.query.r,
-                      "strict": self.query.strict},
+            "query": asdict(self.query),
             "found": [
                 {"graph": graph_to_json(sub), "mu1": mu, "order": order,
                  "band": band}
@@ -268,6 +267,8 @@ class TangleReport:
 
 def check_scan_caps(max_vertices: int, max_subgraphs: int) -> None:
     """Raise ArgumentError unless scan_tangles accepts these caps."""
+    check_integer(max_vertices, "max_vertices")
+    check_integer(max_subgraphs, "max_subgraphs")
     if max_vertices < 1 or max_subgraphs < 1:
         raise ArgumentError("caps must be positive")
     if max_vertices > SCAN_VERTEX_CAP:

@@ -507,8 +507,7 @@ def test_config_loads_integral_floats():
     assert floats.tangle == ints.tangle
     assert floats.tangle_max_vertices == 5
     assert floats.tangle_max_subgraphs == 300
-    from nblifts.experiments import _magnifier_args
-    assert _magnifier_args(floats.magnifier) == _magnifier_args(magnifier)
+    assert floats.magnifier == ints.magnifier
 
 
 # strings and booleans used to load through bool(), int() and float():
