@@ -80,8 +80,13 @@ class ExperimentConfig:
     __reduce__ = reduce_through_init
 
     def __post_init__(self):
+        try:
+            degrees = iter(self.degrees)
+        except TypeError:
+            raise ConfigError("degrees must be a list of integers, got "
+                              f"{self.degrees!r}") from None
         object.__setattr__(self, "degrees", tuple(
-            _integer(n, "degrees") for n in self.degrees))
+            _integer(n, "degrees") for n in degrees))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))

@@ -14,9 +14,10 @@ are never spreaders, so magnification is the robust notion.
 Exhaustive checks enumerate all 2^n subsets with bit tricks and are capped
 at 20 vertices; beyond that, sampling draws uniform subsets plus adversarial
 seeds (BFS balls and single-fibre blocks) since imbalanced local sets are
-the likely violators.  Sampled candidates are int vertex masks, and a
-candidate's neighbourhood is the OR of its vertices' neighbour masks; a
-BFS ball's outside neighbourhood is the BFS's next frontier.
+the likely violators.  Sampled candidates are bool columns of a block of at
+most BLOCK_CELLS cells; a block's neighbourhoods are the OR of one row
+gather per neighbour slot, and a BFS ball's outside neighbourhood is the
+BFS's next frontier.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 from .graphs import ArgumentError, Graph, _check_ids, check_finite, \
     check_integer, reduce_through_init
 from .lifts import Lift
-from .spectral import lambda2
+from .spectral import _edge_arrays, lambda2
 
 EXHAUSTIVE_VERTEX_CAP = 20
 MODES = ("auto", "exhaustive", "sampled")
@@ -36,6 +37,7 @@ DEFAULT_MODE = "auto"  # a check's defaults: mode, sampled subsets, seed
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 0
 QUERY_TRIALS = 100  # a MagnifierQuery's sampled subsets per cover
+BLOCK_CELLS = 1 << 20  # most bool cells in a block of sampled candidates
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,11 @@ def neighborhood(g: Graph, subset) -> set:
     return out
 
 
-def _neighbor_masks(g: Graph):
+def _subset_tables(g: Graph):
+    """For every subset mask: its neighbourhood mask, by doubling over bits."""
     masks = [0] * g.n
     for t, h in zip(g.tail, g.head):
         masks[t] |= 1 << h
-    return masks
-
-
-def _subset_tables(g: Graph):
-    """For every subset mask: its neighbourhood mask, by doubling over bits."""
-    masks = _neighbor_masks(g)
     table = np.zeros(1, dtype=np.uint32)  # n is within EXHAUSTIVE_VERTEX_CAP
     for v in range(g.n):
         table = np.concatenate([table, table | np.uint32(masks[v])])
@@ -135,99 +132,100 @@ def best_gamma_exhaustive(g: Graph):
     return best, witness
 
 
-# _BYTE_BITS[x]: the positions of the set bits of the byte x
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1)
-                   for x in range(256))
+def _neighbour_table(g: Graph):
+    """Padded out-neighbour table: row s, column v holds the head of v's
+    s-th out-edge, or n past v's out-degree; column n is all n."""
+    tail, head = _edge_arrays(g)
+    order = np.argsort(tail, kind="stable")
+    tail, head = tail[order], head[order]
+    slot = np.arange(len(tail)) - np.searchsorted(tail, tail)
+    table = np.full((slot.max(initial=0) + 1, g.n + 1), g.n)
+    table[slot, tail] = head
+    return table
 
 
-def _mask_rows(g: Graph):
-    """g's neighbour masks in rows of eight: row i for vertices 8i..8i+7."""
-    masks = _neighbor_masks(g)
-    return [masks[i:i + 8] for i in range(0, g.n, 8)]
-
-
-def _mask_neighborhood(rows, u: int) -> int:
-    """Mask of the vertices joined by an edge to some vertex of mask u."""
-    out = 0
-    for row, byte in zip(rows, u.to_bytes(len(rows), "little")):
-        if byte:
-            for b in _BYTE_BITS[byte]:
-                out |= row[b]
+def _neighbours(table, cols):
+    """N(U) for each column U of cols, one row gather per neighbour slot:
+    v is in N(U) when an out-neighbour of v is (edges pair up by inv)."""
+    out = np.take(cols, table[0], axis=0)
+    for row in table[1:]:
+        out |= np.take(cols, row, axis=0)
     return out
 
 
-def _members_mask(n: int, members) -> int:
-    """Vertex mask of a sequence of vertices below n."""
-    flags = np.zeros(n, dtype=bool)
-    flags[members] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
-                          "little")
-
-
-def _bfs_balls(rows, start: int, radius: int):
-    """The balls of radius 1, ..., radius around start, from one BFS, each
-    with the mask of its neighbours outside it.
-
-    Frontier k + 1 is N(frontier k) minus ball k.  It equals N(ball k)
-    minus ball k, since every vertex of ball k - 1 has all its neighbours
-    in ball k; so a ball's outside neighbourhood is the next frontier.
-    """
-    ball = 1 << start
-    frontier = _mask_neighborhood(rows, ball) & ~ball
-    for _ in range(radius):
-        ball |= frontier
-        frontier = _mask_neighborhood(rows, frontier) & ~ball
-        yield ball, frontier
-
-
-def _candidates(g: Graph, rows, lo: int, hi: int, trials: int, rng,
-                fibre_blocks=()):
-    """Candidate sets U as pairs of vertex masks (U, N(U) minus U): fibre
-    blocks, BFS balls, then uniform draws.  rows are g's _mask_rows.  A
-    ball's outside neighbourhood comes from its BFS; any other candidate's
-    is taken when the candidate is yielded."""
-    block_masks = []
-    for blk in fibre_blocks:
-        blk = list(blk)
+def _candidate_blocks(g: Graph, lo: int, hi: int, trials: int, rng,
+                      fibre_blocks=()):
+    """Candidate sets U in check order as column blocks (U, |U|,
+    |N(U) minus U|): fibre blocks, BFS balls by start and radius, then
+    uniform draws.  A column is a bool vertex flag whose pad row n is
+    False; a column outside the window lo <= |U| <= hi or seen before is
+    dropped.  A block holds at most BLOCK_CELLS // (n + 1) columns, or the
+    three balls of one start, and its starts' balls grow together."""
+    blocks = [list(blk) for blk in fibre_blocks]
+    for blk in blocks:
         _check_ids(blk, g.n, "vertex")
-        block_masks.append(_members_mask(g.n, blk))
+    table = _neighbour_table(g)
+    width = max(1, BLOCK_CELLS // (g.n + 1))
     seen = set()
-    for blk in block_masks:
-        if lo <= blk.bit_count() <= hi and blk not in seen:
-            seen.add(blk)
-            yield blk, _mask_neighborhood(rows, blk) & ~blk
-    for v in range(min(g.n, trials)):
-        for ball, outside in _bfs_balls(rows, v, 3):
-            if lo <= ball.bit_count() <= hi and ball not in seen:
-                seen.add(ball)
-                yield ball, outside
-    count = 0
-    while count < trials:
-        size = int(rng.integers(lo, hi + 1))
-        u = _members_mask(g.n, rng.choice(g.n, size=size, replace=False))
-        count += 1
-        if u not in seen:
-            seen.add(u)
-            yield u, _mask_neighborhood(rows, u) & ~u
+
+    def columns(sets):
+        cols = np.zeros((g.n + 1, len(sets)), dtype=bool)
+        cols[np.concatenate(sets).astype(np.intp, copy=False),
+             np.repeat(np.arange(len(sets)), [len(u) for u in sets])] = True
+        return cols
+
+    def fresh(cols, outside=None):
+        if outside is None:
+            outside = np.count_nonzero(_neighbours(table, cols) & ~cols, 0)
+        packed = np.packbits(np.ascontiguousarray(cols.T), axis=1)
+        sizes, step = _popcount(packed).sum(axis=1), packed.shape[1]
+        keys, kept = packed.tobytes(), []
+        for j in np.flatnonzero((lo <= sizes) & (sizes <= hi)).tolist():
+            key = keys[j * step:(j + 1) * step]
+            if key not in seen:
+                seen.add(key)
+                kept.append(j)
+        if len(kept) < len(sizes):
+            cols, sizes, outside = cols[:, kept], sizes[kept], outside[kept]
+        if kept:
+            yield cols, sizes, outside
+
+    for first in range(0, len(blocks), width):
+        yield from fresh(columns(blocks[first:first + width]))
+    # frontier k + 1 is N(frontier k) minus ball k, which is N(ball k)
+    # minus ball k since ball k holds every neighbour of ball k - 1: a
+    # ball's outside neighbourhood is the next frontier
+    starts, step = min(g.n, trials), max(1, width // 3)
+    for first in range(0, starts, step):
+        ball = columns(np.arange(first, min(starts, first + step))[:, None])
+        frontier = _neighbours(table, ball) & ~ball
+        balls = np.empty(ball.shape + (3,), dtype=bool)
+        outside = np.empty((ball.shape[1], 3), dtype=np.intp)
+        for radius in range(3):
+            ball |= frontier
+            frontier = _neighbours(table, frontier) & ~ball
+            balls[:, :, radius] = ball
+            outside[:, radius] = np.count_nonzero(frontier, axis=0)
+        yield from fresh(balls.reshape(g.n + 1, -1), outside.reshape(-1))
+    for first in range(0, trials, width):
+        draws = []
+        for _ in range(min(width, trials - first)):
+            size = int(rng.integers(lo, hi + 1))
+            draws.append(rng.choice(g.n, size=size, replace=False))
+        yield from fresh(columns(draws))
 
 
-def _check_subsets(gamma: float, candidates):
-    """Check (U, N(U) minus U) mask pairs in order, stopping at the first
-    U with fewer than gamma * |U| outside neighbours.  For a BFS ball the
-    second mask is the next frontier of its BFS (see _bfs_balls), not a
-    neighbourhood taken again over the whole ball."""
-    trials = 0
-    best = None
-    for u, out in candidates:
-        trials += 1
-        size = u.bit_count()
-        outside = out.bit_count()
-        ratio = outside / size
-        if best is None or ratio < best:
-            best = ratio
-        if outside < gamma * size:
-            witness = frozenset(v for v in range(u.bit_length())
-                                if u >> v & 1)
+def _sampled_scan(gamma: float, blocks):
+    """Check blocks in order up to the first U with outside < gamma |U|."""
+    trials, best = 0, None
+    for cols, sizes, outside in blocks:
+        bad = outside < gamma * sizes
+        end = int(np.argmax(bad)) + 1 if bad.any() else len(bad)
+        ratio = float(np.min(outside[:end] / sizes[:end]))
+        best = ratio if best is None else min(best, ratio)
+        trials += end
+        if bad[end - 1]:
+            witness = frozenset(np.flatnonzero(cols[:, end - 1]).tolist())
             return MagnificationResult(False, witness, "sampled", trials, best)
     return MagnificationResult(True, None, "sampled", trials, best)
 
@@ -291,9 +289,8 @@ def is_pseudo_magnifier(g: Graph, R: int, gamma: float,
         return MagnificationResult(holds, witness, "exhaustive",
                                    1 << g.n, best)
     rng = np.random.default_rng(seed)
-    candidates = _candidates(g, _mask_rows(g), R, hi, trials, rng,
-                             fibre_blocks)
-    return _check_subsets(gamma, candidates)
+    return _sampled_scan(gamma, _candidate_blocks(g, R, hi, trials, rng,
+                                                  fibre_blocks))
 
 
 def lift_fibre_blocks(lift: Lift):

@@ -98,6 +98,7 @@ REFUSALS = [
     ("magnifier", [0.1], "^magnifier must be an object$"),
     ("magnifier", {"gamma": 0.1, "R": 5},
      r"^magnifier: R 5 is above \|V\|/2 = 4 on the covers of degree 2$"),
+    ("degrees", 5, "^degrees must be a list of integers, got 5$"),
 ]
 
 

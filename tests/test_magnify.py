@@ -275,8 +275,8 @@ def test_pseudo_magnifier_rejects_unknown_fibre_vertex(bad):
 
 
 def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
-    """Reference for the masks of _candidates: the same sequence, with one BFS
-    from scratch for each radius 1, 2 and 3."""
+    """Reference for the columns of _candidate_blocks: the same sequence,
+    with one BFS from scratch for each radius 1, 2 and 3."""
     def ball(start, radius):
         found, frontier = {start}, {start}
         for _ in range(radius):
@@ -317,12 +317,13 @@ def _candidates_with_a_bfs_per_radius(g, lo, hi, trials, rng, fibre_blocks):
     (from_pairs(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 6)]), False, 1, 8),
 ])
 def test_candidate_subsets_match_a_bfs_per_radius(graph, blocks, lo, trials):
-    from nblifts.magnify import _candidates, _mask_rows
+    from nblifts.magnify import _candidate_blocks
     fibre = [list(range(i, graph.n, 3)) for i in range(3)] if blocks else []
     hi = graph.n // 2
-    got = [frozenset(v for v in range(graph.n) if u >> v & 1)
-           for u, _ in _candidates(graph, _mask_rows(graph), lo, hi,
-                                   trials, np.random.default_rng(11), fibre)]
+    got = [frozenset(np.flatnonzero(u).tolist())
+           for cols, *_ in _candidate_blocks(graph, lo, hi, trials,
+                                            np.random.default_rng(11), fibre)
+           for u in cols.T]
     want = _candidates_with_a_bfs_per_radius(
         graph, lo, hi, trials, np.random.default_rng(11), fibre)
     assert got == want
@@ -412,4 +413,91 @@ def test_sampled_magnifier_first_violator_matches_reference(R, gamma,
         assert len(got.witness) >= R
         assert got.witness not in {frozenset(b) for b in blocks}
     else:
+        assert got.witness == _ball(g, 0, violator)
+
+
+def test_a_uniform_draw_that_repeats_a_block_or_ball_is_not_counted():
+    from helpers import reference_sampled_magnifier
+    g, blocks, trials, seed = cycle_graph(8), [[0, 4], [1, 5]], 30, 0
+    earlier = {frozenset(b) for b in blocks} | {_ball(g, v, 1)
+                                                for v in range(g.n)}
+    rng = np.random.default_rng(seed)
+    draws = [frozenset(rng.choice(g.n, size=int(rng.integers(1, 5)),
+                                  replace=False).tolist())
+             for _ in range(trials)]
+    assert any(d in earlier for d in draws)
+    got = is_pseudo_magnifier(g, 1, 0.01, mode="sampled", trials=trials,
+                              seed=seed, fibre_blocks=blocks)
+    assert got == reference_sampled_magnifier(g, 1, 0.01, trials, seed,
+                                              blocks)
+    # every radius-2 and radius-3 ball has more than 4 vertices
+    assert got.holds and got.trials == len(earlier | set(draws))
+
+
+@pytest.mark.parametrize("graph", [
+    cycle_graph(12), sample_lift(bouquet(2), 10, ModelSpec(), seed=4).cover])
+@pytest.mark.parametrize("R, gamma", [(1, 0.1), (2, 0.7), (3, 1.5)])
+def test_sampled_magnifier_with_more_trials_than_vertices(graph, R, gamma):
+    from helpers import reference_sampled_magnifier
+    got = is_pseudo_magnifier(graph, R, gamma, mode="sampled", trials=40,
+                              seed=3)
+    assert got == reference_sampled_magnifier(graph, R, gamma, 40, 3)
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 321, 50 * 321])
+@pytest.mark.parametrize("R, gamma", [(2, 0.1), (2, 1.0), (23, 0.9)])
+def test_sampled_magnifier_stops_at_the_block_of_its_first_violator(
+        monkeypatch, cells, R, gamma):
+    """Blocks of one column, of one start's three balls and of 50 columns
+    give the reference's result, and no block past the violator's is
+    built; gamma 1.0 stops at the radius-3 ball of vertex 3."""
+    from helpers import reference_sampled_magnifier
+    import nblifts.magnify as magnify
+    g, blocks = _K4_COVER.cover, lift_fibre_blocks(_K4_COVER)
+    build, widths = magnify._candidate_blocks, []
+
+    def recorded(*args):
+        for block in build(*args):
+            widths.append(block[0].shape[1])
+            yield block
+
+    monkeypatch.setattr(magnify, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(magnify, "_candidate_blocks", recorded)
+    got = is_pseudo_magnifier(g, R, gamma, mode="sampled", trials=100,
+                              seed=0, fibre_blocks=blocks)
+    assert got == reference_sampled_magnifier(g, R, gamma, 100, 0, blocks)
+    assert max(widths) <= max(3, cells // (g.n + 1)) and len(widths) > 1
+    assert sum(widths[:-1]) < got.trials <= sum(widths)
+    if gamma == 1.0:
+        assert got.witness == _ball(g, 3, 3)
+
+
+# a 640-vertex K4 cover: fibre blocks have ratio 3, the balls of radius 1,
+# 2 and 3 around vertex 0 have 1.5, 1.2 and 1.0, and no ball of radius 3
+# reaches 23 vertices
+_K4_COVER_640 = sample_lift(complete_graph(4), 160, ModelSpec(), seed=0)
+
+
+@pytest.mark.parametrize("R, gamma, violator", [
+    (2, 0.1, None),
+    (23, 0.5, None),
+    (2, 3.5, "fibre block"),
+    (2, 2.0, 1),
+    (2, 1.3, 2),
+    (2, 1.1, 3),
+    (23, 0.9, "uniform draw"),
+])
+def test_sampled_magnifier_on_a_640_vertex_cover(R, gamma, violator):
+    from helpers import reference_sampled_magnifier
+    g, blocks = _K4_COVER_640.cover, lift_fibre_blocks(_K4_COVER_640)
+    got = is_pseudo_magnifier(g, R, gamma, mode="sampled", trials=100,
+                              seed=0, fibre_blocks=blocks)
+    assert got == reference_sampled_magnifier(g, R, gamma, 100, 0, blocks)
+    assert got.holds == (violator is None)
+    if violator == "fibre block":
+        assert got.witness == frozenset(blocks[0]) and got.trials == 1
+    elif violator == "uniform draw":
+        assert len(got.witness) >= R and got.trials > len(blocks)
+        assert got.witness not in {frozenset(b) for b in blocks}
+    elif violator is not None:
         assert got.witness == _ball(g, 0, violator)
