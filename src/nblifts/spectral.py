@@ -1,7 +1,8 @@
 """Adjacency and non-backtracking (Hashimoto) spectra of multigraphs.
 
 The Hashimoto matrix is indexed by directed edges; its (e1, e2) entry is 1
-exactly when e2 continues e1 without backtracking.  The new spectrum of a
+exactly when e2 continues e1 without backtracking.  walks.hashimoto_matrix
+builds it, and this module imports it from there.  The new spectrum of a
 lift is its spectrum on functions summing to zero over every fibre; the
 fibre-constant functions carry the base spectrum.  Both are invariant under
 A and H, so new eigenvalues are picked by index, with no matching.
@@ -31,6 +32,7 @@ import numpy as np
 
 from .graphs import Graph, nb_successors, prune
 from .lifts import Lift, base_plan
+from .walks import hashimoto_matrix
 
 DENSE_HASHIMOTO_CAP = 4000
 MULTIPLICITY_TOL = 1e-7  # relative; groups eigenvalues into pairs
@@ -109,20 +111,6 @@ def _adjacency_from_arrays(size: int, edges) -> np.ndarray:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric vertex matrix; entry (u, v) counts directed edges u -> v."""
     return _adjacency_from_arrays(g.n, _edge_arrays(g))
-
-
-def hashimoto_matrix(g: Graph) -> np.ndarray:
-    """0/1 directed-edge matrix of non-backtracking length-two walks.
-
-    Entry (e, f) is 1 when f is in nb_successors(g)[e]: f leaves the
-    vertex e enters and is not the reverse of e.  The ones are scattered
-    at flat indices e * m + f of an m*m zero array.
-    """
-    m = g.num_directed
-    flat = [e * m + f for e, succ in enumerate(nb_successors(g)) for f in succ]
-    h = np.zeros((m, m))
-    h.ravel()[np.array(flat, dtype=np.intp)] = 1.0  # a view: h is contiguous
-    return h
 
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:

@@ -3,9 +3,11 @@
 A length-k walk is SNBC when it is closed, never steps onto the reverse of
 the edge it just used, and does not backtrack across the wrap-around either.
 The number of such walks equals the trace of the k-th power of the Hashimoto
-matrix.  count_snbc_dfs is the independent check of that identity: it
-enumerates walks level by level over non-backtracking transitions, in
-bounded chunks with one array entry per walk, and forms no matrix products.
+matrix, which hashimoto_matrix builds here; spectral imports it from this
+module, so walks needs only graphs and numpy.  count_snbc_dfs is the
+independent check of that identity: it enumerates walks level by level over
+non-backtracking transitions, in bounded chunks with one array entry per
+walk, and forms no matrix products.
 A walk in a level is the pair (bad, end): its last directed edge end, and
 bad = inv[first], the reverse of its first edge, at whose head the walk
 started.  Levels are extended through the rows of graphs.nb_successors,
@@ -30,12 +32,25 @@ import numpy as np
 
 from .graphs import Graph, from_orbits, from_pairs, graph_to_json, \
     nb_successors, reduce_through_init, write_json
-from .spectral import hashimoto_matrix
 
 
 # Most walks count_snbc_dfs creates in one extension step; a level whose
 # extension would create more is split in halves first.
 WALK_CHUNK = 1 << 13
+
+
+def hashimoto_matrix(g: Graph) -> np.ndarray:
+    """0/1 directed-edge matrix of non-backtracking length-two walks.
+
+    Entry (e, f) is 1 when f is in nb_successors(g)[e]: f leaves the
+    vertex e enters and is not the reverse of e.  The ones are scattered
+    at flat indices e * m + f of an m*m zero array.
+    """
+    m = g.num_directed
+    flat = [e * m + f for e, succ in enumerate(nb_successors(g)) for f in succ]
+    h = np.zeros((m, m))
+    h.ravel()[np.array(flat, dtype=np.intp)] = 1.0  # a view: h is contiguous
+    return h
 
 
 class BudgetExceededError(RuntimeError):
