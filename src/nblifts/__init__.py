@@ -54,11 +54,11 @@ _EXPORTS = {
         "ModelSpec",
         "PermutationAssignment",
         "build_lift",
+        "check_model",
         "holonomy_generators",
         "orbit_count",
         "sample_assignment",
         "sample_lift",
-        "validate_model",
     ),
     "spectral": (
         "IharaResult",
@@ -73,7 +73,6 @@ _EXPORTS = {
         "is_ramanujan",
         "lambda2",
         "mu1",
-        "multiset_contains",
         "multiset_difference",
         "new_adjacency_extremes",
         "new_eigenvalues",
@@ -142,7 +141,6 @@ _EXPORTS = {
         "ConfigError",
         "ExperimentConfig",
         "ExperimentReport",
-        "conditioned_nonalon",
         "conditioned_rows",
         "fit_scaling",
         "run_experiment",

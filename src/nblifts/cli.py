@@ -81,6 +81,12 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec(kind=args.model, half_loop=args.half_loop)
 
 
+# spectrum's lift-mode options and their defaults; the parser's default for
+# each is None, so graph mode can refuse them instead of dropping them unread
+SPECTRUM_LIFT_DEFAULTS = {"model": ModelSpec.kind, "half_loop": None, "n": 2,
+                          "seed": 0, "epsilon": 0.1, "hashimoto": False}
+
+
 def cmd_sample(args) -> int:
     base = load_graph(args.base)
     lift = sample_lift(base, args.n, _model_from_args(args), args.seed)
@@ -98,11 +104,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    given = [dest for dest in SPECTRUM_LIFT_DEFAULTS
+             if getattr(args, dest) is not None]
     if args.base:
+        vars(args).update({dest: default for dest, default
+                           in SPECTRUM_LIFT_DEFAULTS.items()
+                           if dest not in given})
         base = load_graph(args.base)
         lift = sample_lift(base, args.n, _model_from_args(args), args.seed)
         payload = spectral_report(lift, eps=args.epsilon, tol=args.tol,
                                   with_hashimoto=args.hashimoto)
+    elif given:
+        raise ConfigError("--" + given[0].replace("_", "-") + " is a lift-mode"
+                          " option; --graph takes only --tol and --out")
     else:
         g = load_graph(args.graph)
         d = g.regular_degree()
@@ -278,14 +292,14 @@ def build_parser() -> _Parser:
     mode.add_argument("--graph", help="single-graph mode")
     mode.add_argument("--base", help="lift mode: base graph path")
     add_model_args(p)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epsilon", type=_positive_float, default=0.1)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--epsilon", type=_positive_float)
     p.add_argument("--tol", type=_positive_float, default=MULTIPLICITY_TOL)
     p.add_argument("--hashimoto", action="store_true",
-                   help="include the dense Hashimoto spectrum")
+                   help="lift mode: include the dense Hashimoto spectrum")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, **dict.fromkeys(SPECTRUM_LIFT_DEFAULTS))
 
     p = sub.add_parser("tangle-scan", help="bounded tangle search")
     p.add_argument("--graph", required=True)

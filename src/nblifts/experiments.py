@@ -20,7 +20,7 @@ from . import __version__
 from .graphs import ArgumentError, Graph, check_finite, check_integer, \
     check_keys, graph_from_json, graph_to_json, load_graph, \
     reduce_through_init, write_json
-from .lifts import ModelError, ModelSpec, _check_model, sample_lift
+from .lifts import ModelError, ModelSpec, check_model, sample_lift
 from .magnify import EXHAUSTIVE_VERTEX_CAP, MagnifierQuery, \
     is_pseudo_magnifier, lift_fibre_blocks
 from .spectral import (
@@ -114,7 +114,7 @@ class ExperimentConfig:
                 f"cover degrees must be distinct, got {list(self.degrees)}")
         for n in self.degrees:
             try:
-                _check_model(self.base, self.model, n)
+                check_model(self.base, self.model, n)
             except ModelError as exc:
                 raise ConfigError(f"degree {n}: {exc}")
         if self.tangle is not None:
@@ -181,16 +181,13 @@ class ExperimentConfig:
             tangle = None
             if block is not None:
                 check_keys(block, TANGLE_KEYS, "tangle", ConfigError)
-                strict = block.get("strict", TangleQuery.strict)
-                if not isinstance(strict, bool):
-                    raise ConfigError(
-                        f"tangle strict must be true or false, got {strict!r}")
                 nu = _real(block["nu"], "tangle nu")
                 r = _integer(block["r"], "tangle r")
                 try:
-                    tangle = TangleQuery(nu=nu, r=r, strict=strict)
-                except ArgumentError as exc:
-                    raise ConfigError(f"tangle: {exc}")
+                    tangle = TangleQuery(nu=nu, r=r, strict=block.get(
+                        "strict", TangleQuery.strict))
+                except ArgumentError as exc:  # "tangle r", as _integer says
+                    raise ConfigError(f"tangle {exc}")
             caps = block or {}  # the absent caps keep the defaults
             return cls(
                 base=base,
@@ -423,10 +420,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def conditioned_rows(cfg: ExperimentConfig, records_by_n: dict) -> list:
     """Non-Alon positive frequency among tangle-free trials, per degree.
 
-    Takes the records of an experiment with a tangle query.  Trials whose
-    scans hit the caps count as tangle-free but flag the row, since freeness
-    is then unverified.
+    Takes the records of an experiment with a tangle query; without one no
+    trial was scanned, and every trial would count as tangle-free.  Trials
+    whose scans hit the caps count as tangle-free but flag the row, since
+    freeness is then unverified.
     """
+    if cfg.tangle is None:
+        raise ConfigError("conditioned rows need a tangle query")
     rows = []
     for n in cfg.degrees:
         free = [r for r in records_by_n[n] if not r.has_tangles]
@@ -440,10 +440,3 @@ def conditioned_rows(cfg: ExperimentConfig, records_by_n: dict) -> list:
             "empty": not free,
         })
     return rows
-
-
-def conditioned_nonalon(cfg: ExperimentConfig) -> list:
-    """conditioned_rows of a fresh run of cfg."""
-    if cfg.tangle is None:
-        raise ConfigError("conditioned run needs a tangle query")
-    return conditioned_rows(cfg, run_experiment(cfg).records)

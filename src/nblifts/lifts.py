@@ -12,14 +12,14 @@ sigma(inv(e)) = sigma(e)^-1.  Sampling models:
 Draws are edge-independent on the lowest-id orientation, with one RNG
 stream per (seed, edge id), so sampling is reproducible and parallelizable.
 
-A lift is its base and its PermutationAssignment, whose check makes every
-row of sigma a permutation and partner rows inverse.  The cover's edge
-arrays, the cover Graph and its projection are built from them on first
-use, through Graph's and GraphMorphism's own checks.  Whether the cover is
-connected is read from the holonomy of sigma without building the cover:
-the cover of a connected base is connected exactly when the holonomy acts
-transitively on one fibre (Amit and Linial 2002).  base_plan computes
-what these read from the base alone once per base.
+A lift is its PermutationAssignment, whose check makes every row of sigma
+a permutation and partner rows inverse; its base is the assignment's.  The
+cover's edge arrays, the cover Graph and its projection are built from it
+on first use, through Graph's and GraphMorphism's own checks.  Whether the
+cover is connected is read from the holonomy of sigma without building the
+cover: the cover of a connected base is connected exactly when the
+holonomy acts transitively on one fibre (Amit and Linial 2002).  base_plan
+computes what these read from the base alone once per base.
 """
 
 from collections import namedtuple
@@ -28,7 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, GraphMorphism, check_keys, reduce_through_init
+from .graphs import ArgumentError, Graph, GraphMorphism, check_keys, \
+    reduce_through_init
 
 MODEL_KINDS = ("permutation", "cyclic")
 HALF_LOOP_RULES = (None, "matching", "near_matching")
@@ -79,16 +80,8 @@ class ModelSpec:
         return spec
 
 
-def validate_model(base: Graph, spec: ModelSpec, n: int) -> bool:
-    """True iff (base, spec, n) is a legal combination."""
-    try:
-        _check_model(base, spec, n)
-    except ModelError:
-        return False
-    return True
-
-
-def _check_model(base: Graph, spec: ModelSpec, n: int):
+def check_model(base: Graph, spec: ModelSpec, n: int) -> None:
+    """Raise ModelError unless (base, spec, n) is a legal combination."""
     if n < 1:
         raise ModelError("cover degree must be at least 1")
     if base.has_half_loops() and spec.half_loop is None:
@@ -219,7 +212,7 @@ class PermutationAssignment:
 def sample_assignment(base: Graph, n: int, spec: ModelSpec,
                       seed) -> PermutationAssignment:
     """Draw a permutation assignment for the given model, deterministically."""
-    _check_model(base, spec, n)
+    check_model(base, spec, n)
     try:
         sig = np.empty((base.num_directed, n), dtype=np.int64)
     except ValueError as exc:  # n is past what numpy can index
@@ -228,7 +221,7 @@ def sample_assignment(base: Graph, n: int, spec: ModelSpec,
     for rep in plan.reps:
         rng = np.random.default_rng([int(seed), rep])
         if base.inv[rep] == rep:
-            # _check_model matched n's parity to the half-loop rule
+            # check_model matched n's parity to the half-loop rule
             sig[rep] = _uniform_involution(rng, n)
         elif base.tail[rep] == base.head[rep] and spec.kind == "cyclic":
             sig[rep] = _uniform_cycle(rng, n)
@@ -246,13 +239,21 @@ class Lift:
 
     The cover, its projection and its edge arrays are built on first use
     and kept; cached_property writes the instance __dict__, which a frozen
-    dataclass allows, and only base and assignment are compared.
+    dataclass allows, and only the assignment is compared.
     """
 
-    base: Graph
     assignment: PermutationAssignment
 
     __reduce__ = reduce_through_init
+
+    def __post_init__(self):
+        if not isinstance(self.assignment, PermutationAssignment):
+            raise ArgumentError("a lift takes a PermutationAssignment, got "
+                                f"{type(self.assignment).__name__}")
+
+    @property
+    def base(self) -> Graph:
+        return self.assignment.base
 
     @cached_property
     def edge_arrays(self):
@@ -292,7 +293,7 @@ def build_lift(base: Graph, assignment: PermutationAssignment) -> Lift:
     on first use."""
     if assignment.base != base:
         raise ValueError("assignment was built for a different base graph")
-    return Lift(base, assignment)
+    return Lift(assignment)
 
 
 def sample_lift(base: Graph, n: int, spec: ModelSpec, seed) -> Lift:

@@ -249,14 +249,6 @@ def multiset_difference(cover_vals, base_vals, tol):
     return _sorted_tuple(rest), worst
 
 
-def multiset_contains(big_vals, small_vals, tol) -> bool:
-    try:
-        multiset_difference(big_vals, small_vals, tol)
-        return True
-    except SpectralError:
-        return False
-
-
 def new_eigenvalues(lift: Lift, which: str = "adjacency") -> np.ndarray:
     """Eigenvalues of the cover on functions summing to zero on every fibre.
 

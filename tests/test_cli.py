@@ -516,6 +516,19 @@ def test_spectrum_graph_with_base_exits_3(k4_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [
+    ["--hashimoto"], ["--n", "7"], ["--seed", "1"], ["--epsilon", "0.3"],
+    ["--model", "cyclic"], ["--half-loop", "matching"],
+], ids=lambda option: option[0])
+def test_spectrum_graph_refuses_lift_options(k4_path, capsys, option):
+    # each was dropped unread: the output was plain graph mode's, exit 0
+    assert main(["spectrum", "--graph", k4_path] + option) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {option[0]} is a lift-mode "
+                            "option; --graph takes only --tol and --out\n")
+
+
 def test_experiment_non_string_output_exits_3(tmp_path, k4_path, capsys):
     # used to run the whole sweep and then escape main as a TypeError
     path, _ = _experiment_config(tmp_path, k4_path, output=5)

@@ -11,7 +11,7 @@ from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.experiments import (
     ConfigError,
     ExperimentConfig,
-    conditioned_nonalon,
+    conditioned_rows,
     fit_scaling,
     run_experiment,
     run_trial,
@@ -155,14 +155,18 @@ def test_determinism_byte_identical(tmp_path):
 def test_conditioned_nonalon_rows():
     cfg = small_config(degrees=(2, 3), trials=6,
                        tangle=TangleQuery(nu=1.2, r=3))
-    rows = conditioned_nonalon(cfg)
+    rows = conditioned_rows(cfg, run_experiment(cfg).records)
     assert len(rows) == 2
     for row in rows:
         assert row["tanglefree_trials"] <= 6
         if not row["empty"]:
             assert 0.0 <= row["frequency"] <= 1.0
-    with pytest.raises(ConfigError):
-        conditioned_nonalon(small_config())
+    # without a tangle query no trial is scanned, so every trial would
+    # count as tangle-free and the rows would be the unconditioned rates
+    cfg = small_config()
+    with pytest.raises(ConfigError, match="conditioned rows need a tangle "
+                                          "query"):
+        conditioned_rows(cfg, run_experiment(cfg).records)
 
 
 def test_hastangles_frequency_decays_like_inverse_degree():
@@ -273,10 +277,10 @@ def test_conditioned_nonalon_runs_each_trial_once(monkeypatch):
                        tangle=TangleQuery(nu=1.2, r=3))
     expected = _rerun_conditioned_rows(cfg)
     calls = _count_trials(monkeypatch)
-    assert conditioned_nonalon(cfg) == expected
+    assert conditioned_rows(cfg, run_experiment(cfg).records) == expected
     assert len(calls) == len(cfg.degrees) * cfg.trials
     with pytest.raises(ConfigError):
-        conditioned_nonalon(small_config())
+        conditioned_rows(small_config(), {})
 
 
 def test_run_experiment_keeps_records_out_of_json():
@@ -465,7 +469,7 @@ def test_config_rejects_fractional_tangle_r():
 
 @pytest.mark.parametrize("r", [0, -1])
 def test_config_rejects_tangle_r_below_one(r):
-    _refused("^tangle: r must be at least 1$", tangle={"nu": 1.8, "r": r})
+    _refused("^tangle r must be at least 1$", tangle={"nu": 1.8, "r": r})
 
 
 def test_config_rejects_fractional_tangle_max_vertices():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nblifts.graphs import (
-    Graph, GraphMorphism, bouquet, complete_graph, cycle_graph, dipole,
-    from_pairs, girth, is_covering,
+    ArgumentError, Graph, GraphMorphism, bouquet, complete_graph, cycle_graph,
+    dipole, from_pairs, girth, is_covering,
 )
 from nblifts.lifts import (
     MODEL_KINDS,
@@ -15,11 +15,11 @@ from nblifts.lifts import (
     ModelSpec,
     PermutationAssignment,
     build_lift,
+    check_model,
     holonomy_generators,
     orbit_count,
     sample_assignment,
     sample_lift,
-    validate_model,
 )
 from nblifts.spectral import _edge_arrays
 
@@ -54,12 +54,19 @@ def test_model_spec_rejects_unknown_key():
         ModelSpec.from_json("cyclic")
 
 
-def test_validate_model():
-    assert validate_model(complete_graph(4), ModelSpec(), 7)
-    assert not validate_model(bouquet(0, 3), ModelSpec("permutation", "matching"), 3)
-    assert validate_model(bouquet(2), ModelSpec("cyclic"), 1)
-    assert not validate_model(bouquet(0, 1), ModelSpec(), 4)  # no half-loop rule
-    assert not validate_model(complete_graph(4), ModelSpec(), 0)
+def test_check_model():
+    check_model(complete_graph(4), ModelSpec(), 7)
+    check_model(bouquet(2), ModelSpec("cyclic"), 1)
+    for base, spec, n, message in [
+        (bouquet(0, 3), ModelSpec("permutation", "matching"), 3,
+         "model requires even degree, got 3"),
+        (bouquet(0, 1), ModelSpec(), 4,
+         "base has half-loops but no half-loop rule was given"),
+        (complete_graph(4), ModelSpec(), 0,
+         "cover degree must be at least 1"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            check_model(base, spec, n)
 
 
 def test_sample_errors():
@@ -350,15 +357,28 @@ def test_holonomy_connectivity_matches_the_cover(base, degree, kind, rule,
     assert connected == lift.cover.is_connected()
 
 
-def test_lift_is_its_base_and_assignment():
+def test_lift_is_its_assignment():
     base = complete_graph(4)
     a = sample_assignment(base, 5, ModelSpec(), seed=3)
     built, fresh = build_lift(base, a), build_lift(base, a)
-    assert [f.name for f in dataclasses.fields(Lift)] == ["base",
-                                                          "assignment"]
-    assert vars(fresh) == {"base": base, "assignment": a}
+    assert [f.name for f in dataclasses.fields(Lift)] == ["assignment"]
+    assert vars(fresh) == {"assignment": a}
+    assert fresh.base is a.base and fresh == Lift(a)
     assert built.cover is built.cover  # built once and kept
     assert built.projection.source is built.cover
     assert built == fresh and hash(built) == hash(fresh)
     assert not build_lift(from_pairs(2), PermutationAssignment.identity(
         from_pairs(2), 3)).is_connected()  # disconnected base
+
+
+def test_a_lift_takes_one_assignment():
+    # Lift(base, assignment) used to pair K5 with a K4 assignment and fail
+    # later, at the cover, with a broadcast error
+    a = PermutationAssignment.identity(complete_graph(4), 3)
+    with pytest.raises(TypeError):
+        Lift(complete_graph(5), a)
+    with pytest.raises(ArgumentError,
+                       match="a lift takes a PermutationAssignment, got Graph"):
+        Lift(complete_graph(4))
+    with pytest.raises(ValueError, match="different base graph"):
+        build_lift(complete_graph(5), a)

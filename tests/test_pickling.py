@@ -15,8 +15,8 @@ from nblifts.experiments import ConfigError, ExperimentConfig, TrialRecord, \
     run_trial
 from nblifts.graphs import ArgumentError, Graph, GraphMorphism, bouquet, \
     complete_graph, dipole, empty_graph, from_pairs
-from nblifts.lifts import ModelError, ModelSpec, PermutationAssignment, \
-    sample_lift
+from nblifts.lifts import Lift, ModelError, ModelSpec, \
+    PermutationAssignment, sample_lift
 from nblifts.tangles import TangleQuery
 from nblifts.walks import HomotopyType
 
@@ -151,8 +151,9 @@ def test_lift_round_trip_rebuilds_its_cover(how):
     other = assert_equal_copy(lift, COPIERS[how])
     if how == "copy":
         assert other.assignment is lift.assignment
-    # no cached view travels: each is built from base and assignment
-    assert not {"cover", "projection", "edge_arrays"} & set(vars(other))
+    # no cached view travels: each is built from the assignment
+    assert set(vars(other)) == {"assignment"}
+    assert other.base is other.assignment.base
     assert other.cover == cover
     assert other.projection == projection
     for arr, expected in zip(other.edge_arrays, lift.edge_arrays):
@@ -201,6 +202,7 @@ MIXED_LIFT = sample_lift(GRAPHS["mixed"], 4, ModelSpec(half_loop="matching"),
 CHECKED_VALUES = {
     Graph: MIXED_LIFT.base,
     PermutationAssignment: MIXED_LIFT.assignment,
+    Lift: MIXED_LIFT,
     ExperimentConfig: CONFIGS["k4_readme"],
     TangleQuery: README_TANGLE,
     ModelSpec: ModelSpec(kind="cyclic", half_loop="matching"),
@@ -249,6 +251,8 @@ def _sigma(row, values):
      "morphism maps have wrong length"),
     (HomotopyType, (bouquet(1), (0,)), ValueError,
      "edge lengths must be positive"),
+    (Lift, (complete_graph(3),), ArgumentError,
+     "a lift takes a PermutationAssignment, got Graph"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_crafted_payload_raises_the_constructor_error(cls, args, error,
                                                       message):

@@ -25,7 +25,6 @@ from nblifts.spectral import (
     lambda2,
     lanczos_new_extremes,
     mu1,
-    multiset_contains,
     multiset_difference,
     new_adjacency_extremes,
     new_eigenvalues,
@@ -265,8 +264,8 @@ def test_new_spectrum_size_and_containment():
         lift = sample_lift(base, n, spec, seed=17)
         new = new_spectrum(lift)
         assert len(new) == (n - 1) * base.n
-        assert multiset_contains(adjacency_spectrum(lift.cover),
-                                 adjacency_spectrum(base), 1e-7)
+        multiset_difference(adjacency_spectrum(lift.cover),
+                            adjacency_spectrum(base), 1e-7)  # or raises
 
 
 def test_disconnected_lift_has_non_alon_eigenvalue():
@@ -373,7 +372,7 @@ def test_new_spectrum_is_full_minus_base(base, spec, n, which):
     new = new_spectrum(lift, which)
     blocks = base.n if which == "adjacency" else base.num_directed
     assert len(new) == len(expected) == (n - 1) * blocks
-    assert multiset_contains(expected, new.values, 1e-6)
+    multiset_difference(expected, new.values, 1e-6)  # or raises
 
 
 def test_power_iteration_raises_when_not_converged():
