@@ -81,10 +81,26 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec(kind=args.model, half_loop=args.half_loop)
 
 
-# spectrum's lift-mode options and their defaults; the parser's default for
-# each is None, so graph mode can refuse them instead of dropping them unread
-SPECTRUM_LIFT_DEFAULTS = {"model": ModelSpec.kind, "half_loop": None, "n": 2,
-                          "seed": 0, "epsilon": 0.1, "hashimoto": False}
+# The options only one mode of a command reads, with their defaults, and the
+# refusal its other mode gives; the parser's default for each is None.
+MODE_OPTIONS = {
+    "spectrum": ({"model": ModelSpec.kind, "half_loop": None, "n": 2,
+                  "seed": 0, "epsilon": 0.1, "hashimoto": False},
+                 "a lift-mode option; --graph takes only --tol and --out"),
+    "magnify-check": ({"trials": DEFAULT_TRIALS, "seed": DEFAULT_SEED},
+                      "a sampled-mode option; --mode exhaustive takes only "
+                      "--R and --gamma"),
+}
+
+
+def _mode_options(args, reads: bool):
+    """Fill in mode options' defaults; refuse one the mode does not read."""
+    defaults, refusal = MODE_OPTIONS[args.command]
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+        elif not reads:
+            raise ConfigError(f"--{dest.replace('_', '-')} is {refusal}")
 
 
 def cmd_sample(args) -> int:
@@ -104,19 +120,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    given = [dest for dest in SPECTRUM_LIFT_DEFAULTS
-             if getattr(args, dest) is not None]
-    if args.base:
-        vars(args).update({dest: default for dest, default
-                           in SPECTRUM_LIFT_DEFAULTS.items()
-                           if dest not in given})
+    _mode_options(args, reads=args.base is not None)
+    if args.base is not None:
         base = load_graph(args.base)
         lift = sample_lift(base, args.n, _model_from_args(args), args.seed)
         payload = spectral_report(lift, eps=args.epsilon, tol=args.tol,
                                   with_hashimoto=args.hashimoto)
-    elif given:
-        raise ConfigError("--" + given[0].replace("_", "-") + " is a lift-mode"
-                          " option; --graph takes only --tol and --out")
     else:
         g = load_graph(args.graph)
         d = g.regular_degree()
@@ -146,6 +155,7 @@ def cmd_tangle_scan(args) -> int:
 
 
 def cmd_magnify_check(args) -> int:
+    _mode_options(args, reads=args.mode != "exhaustive")
     g = load_graph(args.graph)
     if args.R > g.n // 2:  # the window R <= |U| <= |V|/2 holds no set
         raise ConfigError(f"--R {args.R} is above |V|/2 = {g.n / 2:g}")
@@ -299,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hashimoto", action="store_true",
                    help="lift mode: include the dense Hashimoto spectrum")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum, **dict.fromkeys(SPECTRUM_LIFT_DEFAULTS))
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("tangle-scan", help="bounded tangle search")
     p.add_argument("--graph", required=True)
@@ -316,8 +326,8 @@ def build_parser() -> _Parser:
     p.add_argument("--R", type=int, default=MAGNIFIER_R)
     p.add_argument("--gamma", type=_finite_float, required=True)
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_magnify_check)
 
     p = sub.add_parser("verify-lemmas", help="pass/fail table of counting bounds")
@@ -330,6 +340,8 @@ def build_parser() -> _Parser:
     p.add_argument("--conditioned", action="store_true",
                    help="add rows conditioned on tangle-freeness")
     p.set_defaults(func=cmd_experiment)
+    for command, (defaults, _) in MODE_OPTIONS.items():
+        sub.choices[command].set_defaults(**dict.fromkeys(defaults))
     return parser
 
 

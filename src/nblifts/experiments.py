@@ -2,6 +2,10 @@
 non-Alon counts, tangle hits and magnification failures, and fit how the
 positive-rate decays with the cover degree.
 
+run_trial draws a trial's lift; evaluate_lift computes the record on any
+lift of the base, so lifts made another way get the same statistics.
+EVENTS defines each counted event once, for every kind of row.
+
 Reports are byte-deterministic for a fixed config and seed: trial RNG
 streams derive from (seed, degree, trial index), aggregation is
 order-independent, and no timestamps enter the output.  Wilson score
@@ -122,7 +126,7 @@ class ExperimentConfig:
                 check_scan_caps(self.tangle_max_vertices,
                                 self.tangle_max_subgraphs)
             except ArgumentError as exc:
-                raise ConfigError(f"tangle: {exc}")
+                raise ConfigError(f"tangle {exc}")
         if self.magnifier is not None:
             self._check_magnifier()
 
@@ -245,7 +249,15 @@ class TrialRecord:
 def run_trial(cfg: ExperimentConfig, n: int, t: int,
               base_spectrum=None) -> TrialRecord:
     seed = trial_seed(cfg.seed, n, t)
-    lift = sample_lift(cfg.base, n, cfg.model, seed)
+    return evaluate_lift(cfg, sample_lift(cfg.base, n, cfg.model, seed), t,
+                         seed, base_spectrum)
+
+
+def evaluate_lift(cfg: ExperimentConfig, lift, t: int, seed: int,
+                  base_spectrum=None) -> TrialRecord:
+    """Trial t on a supplied lift of cfg.base; seed feeds the magnifier."""
+    if lift.base != cfg.base:
+        raise ArgumentError("the lift is of another base than the config's")
     d = cfg.base.regular_degree()
     if base_spectrum is None:
         base_spectrum = adjacency_spectrum(cfg.base)
@@ -262,9 +274,31 @@ def run_trial(cfg: ExperimentConfig, n: int, t: int,
         mag = is_pseudo_magnifier(
             lift.cover, m.R, m.gamma, mode=m.mode, trials=m.trials, seed=seed,
             fibre_blocks=lift_fibre_blocks(lift)).holds
-    return TrialRecord(n, t, new.count_above(), new.max_abs,
-                       new.lambda2(base_spectrum), lift.is_connected(),
-                       has_t, caps, mag)
+    return TrialRecord(lift.assignment.degree, t, new.count_above(),
+                       new.max_abs, new.lambda2(base_spectrum),
+                       lift.is_connected(), has_t, caps, mag)
+
+
+def _tangle_free(r):
+    return r.has_tangles is False
+
+
+# The events a row counts, in row order: (row key, predicate on a record)
+EVENTS = (
+    ("nonalon_positive_count", lambda r: r.non_alon > 0),
+    ("hastangles_count", lambda r: r.has_tangles),
+    ("nonalon_and_tanglefree_count",
+     lambda r: r.non_alon > 0 and _tangle_free(r)),
+    ("disconnected_count", lambda r: not r.connected),
+    # d is a new eigenvalue of a disconnected cover of a connected base
+    ("disconnected_with_eigenvalue_at_d", lambda r: not r.connected),
+    ("tangle_caps_hit_count", lambda r: r.tangle_caps_hit),
+    ("magnifier_fail_count", lambda r: r.magnifier_holds is False),
+)
+
+
+def count_events(records) -> dict:
+    return {key: sum(1 for r in records if holds(r)) for key, holds in EVENTS}
 
 
 def _mean(values):
@@ -280,31 +314,18 @@ def summarize_rows(cfg: ExperimentConfig, records_by_n: dict,
     rows = []
     for n in cfg.degrees:
         recs = records_by_n[n]
-        trials = len(recs)
-        nonalon_pos = sum(1 for r in recs if r.non_alon > 0)
-        has_t = sum(1 for r in recs if r.has_tangles)
-        joint = sum(1 for r in recs
-                    if r.non_alon > 0 and r.has_tangles is False)
-        disconnected = sum(1 for r in recs if not r.connected)
-        lo, hi = wilson_interval(nonalon_pos, trials)
+        counts = count_events(recs)
         rows.append({
             "n": n,
-            "trials": trials,
+            "trials": len(recs),
             "failed": failures_by_n.get(n, 0),
-            "nonalon_positive_count": nonalon_pos,
-            "hastangles_count": has_t,
-            "nonalon_and_tanglefree_count": joint,
+            **counts,
             "mean_lambda2": _mean([r.lambda2 for r in recs]),
             "mean_mu1_new": _mean([
                 hashimoto_radius_from_adjacency(r.max_new_abs, d)
                 for r in recs if r.max_new_abs is not None]),
-            "disconnected_count": disconnected,
-            # d is a new eigenvalue of a disconnected cover of a connected base
-            "disconnected_with_eigenvalue_at_d": disconnected,
-            "tangle_caps_hit_count": sum(1 for r in recs if r.tangle_caps_hit),
-            "magnifier_fail_count": sum(
-                1 for r in recs if r.magnifier_holds is False),
-            "wilson_nonalon": [lo, hi],
+            "wilson_nonalon": list(wilson_interval(
+                counts["nonalon_positive_count"], len(recs))),
         })
     return rows
 
@@ -429,14 +450,15 @@ def conditioned_rows(cfg: ExperimentConfig, records_by_n: dict) -> list:
         raise ConfigError("conditioned rows need a tangle query")
     rows = []
     for n in cfg.degrees:
-        free = [r for r in records_by_n[n] if not r.has_tangles]
-        positive_free = sum(1 for r in free if r.non_alon > 0)
+        free = [r for r in records_by_n[n] if _tangle_free(r)]
+        counts = count_events(free)
+        positive = counts["nonalon_positive_count"]
         rows.append({
             "n": n,
             "tanglefree_trials": len(free),
-            "nonalon_positive_among_tanglefree": positive_free,
-            "frequency": (positive_free / len(free)) if free else None,
-            "caps_hit_trials": sum(1 for r in free if r.tangle_caps_hit),
+            "nonalon_positive_among_tanglefree": positive,
+            "frequency": (positive / len(free)) if free else None,
+            "caps_hit_trials": counts["tangle_caps_hit_count"],
             "empty": not free,
         })
     return rows

@@ -97,6 +97,40 @@ def test_magnify_check_refuses_bad_arguments(c30_path, capsys, args, message):
     _refused(capsys, ["magnify-check", "--graph", c30_path] + args, message)
 
 
+@pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "9"],
+                                    ["--trials", "200", "--seed", "0"]],
+                         ids=lambda option: " ".join(option))
+def test_magnify_check_exhaustive_refuses_the_sampled_options(tmp_path, capsys,
+                                                              option):
+    # each was dropped unread: the output was the run without them, exit 0
+    path = tmp_path / "c12.json"
+    save_graph(cycle_graph(12), path)
+    _refused(capsys, ["magnify-check", "--graph", str(path), "--gamma", "0.1",
+                      "--mode", "exhaustive"] + option,
+             f"{option[0]} is a sampled-mode option; --mode exhaustive "
+             "takes only --R and --gamma")
+
+
+def test_magnify_check_sampled_reads_trials_and_seed(tmp_path, capsys):
+    path = tmp_path / "c12.json"
+    save_graph(cycle_graph(12), path)
+    assert main(["magnify-check", "--graph", str(path), "--gamma", "0.5",
+                 "--mode", "sampled", "--trials", "5", "--seed", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result = is_pseudo_magnifier(cycle_graph(12), 1, 0.5, mode="sampled",
+                                 trials=5, seed=9)
+    assert (payload["holds"], payload["trials"], payload["best_gamma_seen"],
+            payload["witness"]) == (result.holds, result.trials,
+                                    result.best_gamma, sorted(result.witness))
+
+
+def test_spectrum_with_an_empty_base_path_exits_3(capsys):
+    # "" is a given --base: it used to run graph mode with no graph and
+    # escape main as a TypeError
+    assert main(["spectrum", "--base", ""]) == 3
+    assert "No such file or directory: ''" in capsys.readouterr().err
+
+
 def test_magnify_check_exhaustive_at_the_cap_runs(tmp_path, capsys):
     path = tmp_path / "c20.json"
     save_graph(cycle_graph(20), path)

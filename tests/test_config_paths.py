@@ -71,7 +71,7 @@ REFUSALS = [
      r"tangle max_vertices must be an integer, got 6\.5"),
     ("tangle_max_subgraphs", math.nan,
      "tangle max_subgraphs must be an integer, got nan"),
-    ("tangle_max_subgraphs", 0, "^tangle: caps must be positive$"),
+    ("tangle_max_subgraphs", 0, "^tangle caps must be positive$"),
     ("magnifier", {"gamma": 0.1, "R": 2.7},
      r"magnifier: R must be an integer, got 2\.7"),
     ("magnifier", {"gamma": 0.1, "trials": 9.9},

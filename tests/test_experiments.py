@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from nblifts.graphs import (
-    Graph, bouquet, complete_graph, from_pairs, graph_to_json,
+    ArgumentError, Graph, bouquet, complete_graph, from_pairs, graph_to_json,
 )
 from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.experiments import (
     ConfigError,
     ExperimentConfig,
+    TrialRecord,
     conditioned_rows,
+    evaluate_lift,
     fit_scaling,
     run_experiment,
     run_trial,
+    summarize_rows,
     trial_seed,
     wilson_center,
     wilson_interval,
@@ -782,3 +785,92 @@ def test_disconnected_count_is_exact_on_the_lanczos_path(kind, disconnected):
         at_d = np.count_nonzero(np.abs(new_eigenvalues(lift) - 2) <= 1e-9)
         assert at_d == components - 1
         assert (components > 1) == disconnected
+
+
+def test_evaluate_lift_on_a_disconnected_cover_gives_run_trials_record(
+        monkeypatch):
+    from nblifts import experiments
+    from nblifts.lifts import PermutationAssignment, build_lift
+    b = complete_graph(4)
+    by_rep = {rep: [1, 0, 3, 2] for rep in b.orientation()}
+    lift = build_lift(b, PermutationAssignment.from_dict(b, 4, by_rep))
+    cfg = small_config(degrees=(4,), epsilon=0.1)
+    monkeypatch.setattr(experiments, "sample_lift", lambda *args: lift)
+    expected = run_trial(cfg, 4, 0)
+    assert not expected.connected
+    assert evaluate_lift(cfg, lift, 0, trial_seed(cfg.seed, 4, 0)) == expected
+
+
+# the smoke sizes of the benchmark's experiment workloads, at its smoke seed
+SMOKE_CONFIGS = {
+    "readme_scan": small_config(
+        degrees=(8, 12), trials=2, epsilon=0.2, seed=3,
+        tangle=TangleQuery(nu=1.8, r=3, strict=False), tangle_max_vertices=6,
+        tangle_max_subgraphs=200,
+        magnifier={"R": 2, "gamma": 0.1, "mode": "sampled", "trials": 20}),
+    "spectrum_large": small_config(base=complete_graph(5),
+                                   degrees=(10, 20, 40), trials=4,
+                                   epsilon=0.1, seed=3),
+    "nonalon_small": small_config(base=bouquet(2), degrees=(10, 20),
+                                  trials=25, epsilon=0.1, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", SMOKE_CONFIGS)
+def test_evaluate_lift_on_the_sampled_lift_is_run_trial(name):
+    cfg = SMOKE_CONFIGS[name]
+    for n in cfg.degrees:
+        for t in range(cfg.trials):
+            seed = trial_seed(cfg.seed, n, t)
+            lift = sample_lift(cfg.base, n, cfg.model, seed)
+            assert evaluate_lift(cfg, lift, t, seed) == run_trial(cfg, n, t)
+
+
+def test_evaluate_lift_refuses_a_lift_of_another_base():
+    lift = sample_lift(complete_graph(5), 3, ModelSpec(), 1)
+    with pytest.raises(ArgumentError, match="another base"):
+        evaluate_lift(small_config(), lift, 0, 1)
+
+
+def _crafted_records():
+    """27 records, one per (has_tangles, tangle_caps_hit, magnifier_holds)
+    in {None, False, True}^3; odd indices are non-Alon positive and
+    indices 0 and 5 disconnected."""
+    values = (None, False, True)
+    return [TrialRecord(4, i, i % 2, None, None, i not in (0, 5), h, c, m)
+            for i, (h, c, m) in enumerate(
+                (h, c, m) for h in values for c in values for m in values)]
+
+
+def test_summarize_rows_counts_crafted_records_as_hand_counted():
+    cfg = small_config(degrees=(4, 6))
+    rows = summarize_rows(cfg, {4: _crafted_records(), 6: []}, {6: 2})
+    counts = {
+        "trials": 27,
+        "failed": 0,
+        "nonalon_positive_count": 13,
+        "hastangles_count": 9,  # indices 18-26
+        "nonalon_and_tanglefree_count": 5,  # 9, 11, 13, 15 and 17
+        "disconnected_count": 2,
+        "disconnected_with_eigenvalue_at_d": 2,
+        "tangle_caps_hit_count": 9,  # 6-8, 15-17 and 24-26
+        "magnifier_fail_count": 9,  # every index 1 mod 3
+    }
+    assert {key: rows[0][key] for key in counts} == counts
+    assert rows[0]["wilson_nonalon"] == list(wilson_interval(13, 27))
+    assert {key: rows[1][key] for key in counts} == dict(
+        dict.fromkeys(counts, 0), failed=2)
+
+
+def test_conditioned_rows_count_crafted_records_as_hand_counted():
+    cfg = small_config(degrees=(4, 6), tangle=TangleQuery(nu=1.2, r=3))
+    rows = conditioned_rows(cfg, {4: _crafted_records(), 6: []})
+    # tangle-free: indices 9-17; None is not tangle-free, as in the rows
+    assert rows == [
+        {"n": 4, "tanglefree_trials": 9,
+         "nonalon_positive_among_tanglefree": 5, "frequency": 5 / 9,
+         "caps_hit_trials": 3, "empty": False},
+        {"n": 6, "tanglefree_trials": 0,
+         "nonalon_positive_among_tanglefree": 0, "frequency": None,
+         "caps_hit_trials": 0, "empty": True},
+    ]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nblifts.experiments import ConfigError, ExperimentConfig, TrialRecord, \
-    run_trial
+    evaluate_lift, run_trial, trial_seed
 from nblifts.graphs import ArgumentError, Graph, GraphMorphism, bouquet, \
     complete_graph, dipole, empty_graph, from_pairs
 from nblifts.lifts import Lift, ModelError, ModelSpec, \
@@ -195,6 +195,20 @@ def test_run_trial_on_a_pickled_config(name, spawn_worker):
         assert run_trial(loaded, n, t) == expected
         # the worker receives cfg by pickle and sends its record back so
         assert spawn_worker.submit(run_trial, cfg, n, t).result() == expected
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_evaluate_lift_on_a_pickled_config_and_lift(name, spawn_worker):
+    cfg = CONFIGS[name]
+    (n,) = cfg.degrees
+    seed = trial_seed(cfg.seed, n, 0)
+    lift = sample_lift(cfg.base, n, cfg.model, seed)
+    expected = run_trial(cfg, n, 0)
+    loaded = pickle.loads(pickle.dumps((cfg, lift)))
+    assert evaluate_lift(*loaded, 0, seed) == expected
+    # the worker receives both by pickle and sends the record back so
+    assert spawn_worker.submit(evaluate_lift, cfg, lift, 0,
+                               seed).result() == expected
 
 
 MIXED_LIFT = sample_lift(GRAPHS["mixed"], 4, ModelSpec(half_loop="matching"),
