@@ -32,7 +32,8 @@ from .graphs import ArgumentError, GraphFormatError, load_graph, \
 from .lifts import HALF_LOOP_RULES, MODEL_KINDS, ModelError, ModelSpec, \
     sample_lift
 from .magnify import DEFAULT_MODE, DEFAULT_SEED, DEFAULT_TRIALS, \
-    MAGNIFIER_R, MODES, is_pseudo_magnifier
+    EXHAUSTIVE_VERTEX_CAP, MAGNIFIER_R, MODES, is_pseudo_magnifier, \
+    resolve_mode
 from .spectral import MULTIPLICITY_TOL, SpectralError, adjacency_spectrum, \
     ihara_check, is_ramanujan, mu1, spectral_report
 from .tangles import SCAN_MAX_SUBGRAPHS, SCAN_MAX_VERTICES, TangleQuery, \
@@ -93,14 +94,15 @@ MODE_OPTIONS = {
 }
 
 
-def _mode_options(args, reads: bool):
-    """Fill in mode options' defaults; refuse one the mode does not read."""
+def _mode_options(args, reads: bool, why: str = ""):
+    """Fill in mode options' defaults; refuse one the mode does not read,
+    with why appended to the refusal."""
     defaults, refusal = MODE_OPTIONS[args.command]
     for dest, value in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
         elif not reads:
-            raise ConfigError(f"--{dest.replace('_', '-')} is {refusal}")
+            raise ConfigError(f"--{dest.replace('_', '-')} is {refusal}{why}")
 
 
 def cmd_sample(args) -> int:
@@ -155,8 +157,10 @@ def cmd_tangle_scan(args) -> int:
 
 
 def cmd_magnify_check(args) -> int:
-    _mode_options(args, reads=args.mode != "exhaustive")
     g = load_graph(args.graph)
+    why = (f" (--mode auto runs exhaustive on at most {EXHAUSTIVE_VERTEX_CAP} "
+           "vertices)" if args.mode == "auto" else "")
+    _mode_options(args, resolve_mode(g, args.mode) == "sampled", why)
     if args.R > g.n // 2:  # the window R <= |U| <= |V|/2 holds no set
         raise ConfigError(f"--R {args.R} is above |V|/2 = {g.n / 2:g}")
     result = is_pseudo_magnifier(g, args.R, args.gamma, mode=args.mode,

@@ -258,6 +258,14 @@ def check_magnifier_args(R: int, gamma: float, mode: str,
         raise ArgumentError("trials must be at least 1")
 
 
+def resolve_mode(g: Graph, mode: str) -> str:
+    """The mode a check of g runs: auto is exhaustive up to
+    EXHAUSTIVE_VERTEX_CAP vertices and sampled above."""
+    if mode == "auto":
+        return "exhaustive" if g.n <= EXHAUSTIVE_VERTEX_CAP else "sampled"
+    return mode
+
+
 @dataclass(frozen=True)
 class MagnifierQuery:
     """is_pseudo_magnifier's arguments for the check made on each cover."""
@@ -282,9 +290,7 @@ def is_pseudo_magnifier(g: Graph, R: int, gamma: float,
     hi = g.n // 2
     if hi < R:
         return MagnificationResult(True, None, "exhaustive", 0, None)
-    if mode == "auto":
-        mode = "exhaustive" if g.n <= EXHAUSTIVE_VERTEX_CAP else "sampled"
-    if mode == "exhaustive":
+    if resolve_mode(g, mode) == "exhaustive":
         holds, witness, best = _exhaustive_scan(g, gamma, R, hi)
         return MagnificationResult(holds, witness, "exhaustive",
                                    1 << g.n, best)

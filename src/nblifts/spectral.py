@@ -16,7 +16,8 @@ beats the dense solve on every base timed) the extremes come from
 matrix-free Lanczos on the sum-zero subspace: the plain three-term
 recurrence, O(N) memory, with a residual test on every returned value and
 the dense solve as fallback whenever an extreme reaches the threshold or
-the test never passes.  Its convergence checks run where the decay of the
+the test never passes; above DENSE_MAX_VERTICES vertices the fallback is
+refused with SpectralError.  Its convergence checks run where the decay of the
 residual bounds predicts they can pass, and take the extremes of the k x k
 tridiagonal by Laguerre's iteration in O(k) per pass, with no eigensolve.
 A skipped check can only delay a return: a value is returned only after a
@@ -60,6 +61,12 @@ MULTIPLICITY_TOL = 1e-7  # relative; groups eigenvalues into pairs
 # counts (a repeat over N = 240..320 with 11 repeats agrees); the dense
 # solve grows as N^3 and Lanczos, at 120 to 300 steps, about as N.
 LANCZOS_MIN_VERTICES = 280
+# Largest cover the dense fallback of new_adjacency_extremes may solve.  Its
+# N x N float64 matrix takes 8 N^2 bytes, 128 MB here, twice the largest
+# cover of the perfbench, README and CI configs (K5 at degree 400, 2000
+# vertices); at N = 20000 the solve held 6.3 GB of an 8 GB host.  A
+# constant, not the host's free memory, so that reports stay deterministic.
+DENSE_MAX_VERTICES = 4000
 LANCZOS_MAX_STEPS = 500
 LANCZOS_TOL = 1e-10
 # Lanczos convergence checks: the first comes after LANCZOS_CHECK_EVERY
@@ -91,8 +98,9 @@ _EPS = float(np.finfo(float).eps)
 
 class SpectralError(RuntimeError):
     """Numerical failure or refused solve: an unmatched eigenvalue in
-    multiset_difference, an unconverged power iteration in mu1, or a dense
-    Hashimoto solve above DENSE_HASHIMOTO_CAP directed edges."""
+    multiset_difference, an unconverged power iteration in mu1, a dense
+    Hashimoto solve above DENSE_HASHIMOTO_CAP directed edges, or a dense
+    fallback above DENSE_MAX_VERTICES vertices in new_adjacency_extremes."""
 
 
 def _edge_arrays(g: Graph):
@@ -562,14 +570,20 @@ def new_adjacency_extremes(lift: Lift, threshold: float) -> NewExtremes:
     Larger ones take lanczos_new_extremes(lift), [theta_min, theta_max],
     unless some |theta| comes within LANCZOS_TOL of threshold (the count
     may be positive and needs multiplicities) or it returns None; then the
-    dense solve runs instead.
+    dense solve runs instead, on covers of at most DENSE_MAX_VERTICES
+    vertices.  Above that, SpectralError is raised.
     """
-    if lift.base.n * lift.assignment.degree >= LANCZOS_MIN_VERTICES:
+    size = lift.base.n * lift.assignment.degree
+    if size >= LANCZOS_MIN_VERTICES:
         vals = lanczos_new_extremes(lift)
         if vals is not None:
             found = NewExtremes(vals, threshold)
             if not found.count_above(LANCZOS_TOL):
                 return found
+    if size > DENSE_MAX_VERTICES:
+        raise SpectralError(
+            f"Lanczos left a {size}-vertex cover undecided, and the dense "
+            f"fallback is capped at {DENSE_MAX_VERTICES} vertices")
     return NewExtremes(new_eigenvalues(lift), threshold)
 
 

@@ -12,9 +12,14 @@ A walk in a level is the pair (bad, end): its last directed edge end, and
 bad = inv[first], the reverse of its first edge, at whose head the walk
 started.  Levels are extended through the rows of graphs.nb_successors,
 the one rule for which directed edges continue an edge, padded to the
-largest out-degree, so memory is O(kmax * WALK_CHUNK) for the levels plus
-O(#E^dir * max out-degree) for the table.  A walk closes when its first
-edge is a successor of its last; count_snbc_dfs tests that on arrays.
+largest out-degree.  A walk closes when its first edge is a successor of
+its last.  count_snbc_dfs visits every walk shorter than kmax.  When
+m = #E^dir has m^2 <= WALK_CHUNK, it counts the closed walks of each
+length on their parents, one level shorter, through an m x m closing
+table, so no level of length kmax is made; larger graphs test every walk
+of every length on arrays.  Memory is O(kmax * WALK_CHUNK) for the levels
+and the closing table plus O(#E^dir * max out-degree) for the successor
+table.
 
 Homotopy types: the visited subgraph of a walk carries a first-encountered
 numbering (the from_orbits numbering); suppressing its beads (degree-2
@@ -145,16 +150,24 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     directed edges, where end is the walk's last edge and bad = inv[first]
     the reverse of its first.  Since tail[first] == head[bad], the walk
     closes exactly when head[end] == head[bad] and end != bad, the array
-    form of first in nb_successors(g)[end].  A level is counted, then
-    extended through a successor table built once: row e is
-    nb_successors(g)[e], padded to the largest out-degree with the dead
-    index #E^dir, so the children of a level are table[end] raveled, each
-    paired with its parent's bad; dead entries are dropped when
-    out-degrees differ.  A level whose extension would
-    pass WALK_CHUNK entries is split in halves first, so memory stays
-    O(kmax * WALK_CHUNK) for the levels plus O(#E^dir * max out-degree)
-    for the table.  This is the brute-force side of the trace identity:
-    every walk is visited and no matrix algebra is used.
+    form of first in nb_successors(g)[end].  A level is extended through a
+    successor table built once: row e is nb_successors(g)[e], padded to the
+    largest out-degree with the dead index #E^dir, so the children of a
+    level are table[end] raveled, each paired with its parent's bad; dead
+    entries are dropped when out-degrees differ.
+
+    With m = #E^dir and m^2 <= WALK_CHUNK, the closed walks of length j + 1
+    are counted on their parents, the level of length j: entry
+    end * m + bad of a closing table, built from the successor table by
+    comparing arrays, counts the f in nb_successors(g)[end] with
+    head[f] == head[bad] and f != bad.  So every walk shorter than kmax is
+    visited, length 1 is tested as above, and no level of length kmax is
+    made.  Larger graphs test every walk of every length 1..kmax.  A level
+    whose extension would pass WALK_CHUNK entries is split in halves
+    first, so memory stays O(kmax * WALK_CHUNK) for the levels and the
+    closing table plus O(#E^dir * max out-degree) for the successor table.
+    This is the brute-force side of the trace identity: no matrix algebra
+    is used.
     """
     if kmax < 1:
         raise ValueError("walk length must be at least 1")
@@ -165,16 +178,35 @@ def count_snbc_dfs(g: Graph, kmax: int, budget: int = 10_000_000_000):
     table = np.array([s + (m,) * (width - len(s)) for s in nb_successors(g)],
                      dtype=np.int64).reshape(m, width)
     padded = bool(np.any(table[:, -1:] == m))
+    edges = np.arange(m, dtype=np.int64)
     counts = [0] * (kmax + 1)
 
+    def closed(bad, end):
+        return int(np.count_nonzero((head[end] == head[bad]) & (end != bad)))
+
+    close = None
+    if m * m <= WALK_CHUNK:
+        # one successor slot at a time, so no temporary passes m * m
+        # entries; a dead slot's head -1 matches no head
+        head_of = np.append(head, -1)
+        close = np.zeros((m, m), dtype=np.int64)
+        for f in table.T:
+            close += (head_of[f][:, None] == head) & (f[:, None] != edges)
+        close = close.ravel()
+    last = kmax if close is None else kmax - 1  # the longest level made
+
     def record(bad, end, depth):
-        closed = (head[end] == head[bad]) & (end != bad)
-        counts[depth] += int(np.count_nonzero(closed))
-        if depth < kmax and end.size:
+        if close is None:
+            counts[depth] += closed(bad, end)
+        elif depth < kmax:
+            counts[depth + 1] += int(close.take(end * m + bad).sum())
+        if depth < last and end.size:
             stack.append((bad, end, depth))
 
     stack = []
-    record(inv, np.arange(m, dtype=np.int64), 1)
+    if close is not None:
+        counts[1] = closed(inv, edges)
+    record(inv, edges, 1)
     while stack:
         bad, end, depth = stack.pop()
         if len(end) * width > WALK_CHUNK and len(end) > 1:

@@ -124,6 +124,36 @@ def test_magnify_check_sampled_reads_trials_and_seed(tmp_path, capsys):
                                     result.best_gamma, sorted(result.witness))
 
 
+@pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "9"]],
+                         ids=lambda option: " ".join(option))
+def test_magnify_check_auto_on_a_small_graph_refuses_the_sampled_options(
+        tmp_path, capsys, option):
+    # auto runs the exhaustive check up to 20 vertices, so both were dropped
+    # unread, exit 0
+    path = tmp_path / "c12.json"
+    save_graph(cycle_graph(12), path)
+    _refused(capsys, ["magnify-check", "--graph", str(path), "--gamma", "0.1",
+                      "--mode", "auto"] + option,
+             f"{option[0]} is a sampled-mode option; --mode exhaustive "
+             "takes only --R and --gamma (--mode auto runs exhaustive on at "
+             "most 20 vertices)")
+
+
+def test_magnify_check_auto_on_a_large_graph_reads_trials_and_seed(c30_path,
+                                                                   capsys):
+    assert main(["magnify-check", "--graph", c30_path, "--gamma", "0.5",
+                 "--mode", "auto", "--trials", "5", "--seed", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result = is_pseudo_magnifier(cycle_graph(30), 1, 0.5, mode="sampled",
+                                 trials=5, seed=9)
+    assert payload["mode"] == "sampled"
+    assert (payload["holds"], payload["trials"], payload["best_gamma_seen"],
+            payload["witness"]) == (result.holds, result.trials,
+                                    result.best_gamma,
+                                    sorted(result.witness)
+                                    if result.witness else None)
+
+
 def test_spectrum_with_an_empty_base_path_exits_3(capsys):
     # "" is a given --base: it used to run graph mode with no graph and
     # escape main as a TypeError

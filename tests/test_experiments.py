@@ -327,6 +327,24 @@ def test_run_experiment_counts_numerical_failures(monkeypatch):
     ]
 
 
+def test_run_experiment_counts_a_refused_dense_fallback(monkeypatch,
+                                                       dense_calls):
+    # K5 covers of 300 vertices take Lanczos; stopped after one step it
+    # leaves them undecided, and the dense solve is capped below 300
+    from nblifts import spectral
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
+    monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", 299)
+    cfg = ExperimentConfig(base=complete_graph(5), model=ModelSpec(),
+                           degrees=(60,), trials=2, epsilon=0.1, seed=1)
+    report = run_experiment(cfg)
+    assert not dense_calls
+    assert [(row["trials"], row["failed"]) for row in report.rows] == [(0, 2)]
+    assert report.errors == [
+        f"n=60 trial={t}: SpectralError: Lanczos left a 300-vertex cover "
+        "undecided, and the dense fallback is capped at 299 vertices"
+        for t in range(2)]
+
+
 @pytest.mark.parametrize("base,n", [
     (complete_graph(4), 40), (complete_graph(5), 30), (PETERSEN, 12),
     (bouquet(2), 60),

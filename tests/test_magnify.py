@@ -9,6 +9,7 @@ from nblifts.graphs import (
 )
 from nblifts.lifts import ModelSpec, sample_lift
 from nblifts.magnify import (
+    EXHAUSTIVE_VERTEX_CAP,
     VertexSubset,
     alon_gap_bound,
     alon_gap_check,
@@ -19,6 +20,7 @@ from nblifts.magnify import (
     is_pseudo_magnifier,
     lift_fibre_blocks,
     neighborhood,
+    resolve_mode,
 )
 from nblifts.spectral import adjacency_matrix, lambda2
 
@@ -101,6 +103,19 @@ def test_exhaustive_cap():
     res = is_magnifier(big, 3.0, mode="auto", trials=50, seed=1)
     assert res.mode == "sampled"
     assert not res.holds  # long cycles expand poorly; sampling finds it
+
+
+def test_resolve_mode_by_size():
+    # the CLI refuses the sampled options by this answer, and the check
+    # runs by it
+    at_cap = cycle_graph(EXHAUSTIVE_VERTEX_CAP)
+    above = cycle_graph(EXHAUSTIVE_VERTEX_CAP + 1)
+    assert resolve_mode(at_cap, "auto") == "exhaustive"
+    assert resolve_mode(above, "auto") == "sampled"
+    for mode in ("exhaustive", "sampled"):
+        assert resolve_mode(at_cap, mode) == resolve_mode(above, mode) == mode
+    assert is_magnifier(at_cap, 0.1).mode == "exhaustive"
+    assert is_magnifier(above, 0.1).mode == "sampled"
 
 
 def test_best_gamma_k4():

@@ -562,6 +562,27 @@ def test_lanczos_step_cap_falls_back_to_dense(lanczos_dense_calls,
     assert np.array_equal(vals, new_eigenvalues(lift))
 
 
+@pytest.mark.parametrize("threshold", [math.inf, 0.0])
+def test_no_dense_fallback_above_the_vertex_cap(lanczos_dense_calls,
+                                                monkeypatch, threshold):
+    # an unconverged run (inf) and an extreme past the threshold (0) would
+    # both fall back to the dense solve; at 150 vertices it may run, at 149
+    # it is refused
+    lift = sample_lift(complete_graph(5), 30, ModelSpec(), seed=3)
+    if threshold == math.inf:
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
+    monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", 149)
+    with pytest.raises(SpectralError, match="^Lanczos left a 150-vertex "
+                       "cover undecided, and the dense fallback is capped "
+                       "at 149 vertices$"):
+        new_adjacency_extremes(lift, threshold)
+    assert not lanczos_dense_calls
+    monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", 150)
+    vals = new_adjacency_extremes(lift, threshold).values
+    assert len(lanczos_dense_calls) == 1
+    assert np.array_equal(vals, new_eigenvalues(lift))
+
+
 @st.composite
 def unreduced_tridiagonals(draw):
     """(alpha, beta) with nonzero beta; half of them are two mirrored copies

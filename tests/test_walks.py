@@ -378,6 +378,52 @@ def test_count_snbc_dfs_splitting_every_level_keeps_counts(seed, kmax):
     assert got == reference_count_snbc_dfs(g, kmax)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_count_snbc_dfs_closing_table_with_split_levels(seed, kmax):
+    # WALK_CHUNK = m^2 turns the closing table on (m = #E^dir) and still
+    # splits every level of more than m^2 / (max out-degree) walks; the
+    # graphs have half-loops, whole-loops, parallel edges and dead ends
+    from unittest import mock
+    import numpy as np
+    from helpers import random_connected_multigraph, reference_count_snbc_dfs
+    from nblifts import walks
+    g = random_connected_multigraph(np.random.default_rng(seed),
+                                    max_vertices=5, max_extra=4,
+                                    half_loop_prob=0.5)
+    with mock.patch.object(walks, "WALK_CHUNK", g.num_directed ** 2):
+        got = count_snbc_dfs(g, kmax)
+    assert got == reference_count_snbc_dfs(g, kmax)
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(4),
+    # degrees 4, 5, 3 and 1: a half-loop, a whole-loop and a dead end
+    from_pairs(4, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (1, 1)], [0]),
+], ids=["K4", "mixed"])
+@pytest.mark.parametrize("over, table", [(0, True), (-1, False)],
+                         ids=["table", "per-walk"])
+def test_count_snbc_dfs_takes_the_table_up_to_m_squared(monkeypatch, g, over,
+                                                        table):
+    # the closure test on arrays runs once (length 1) with the closing
+    # table, and on each of the kmax levels without it
+    import numpy as np
+    from helpers import reference_count_snbc_dfs
+    from nblifts import walks
+    monkeypatch.setattr(walks, "WALK_CHUNK", g.num_directed ** 2 + over)
+    calls = []
+    real = np.count_nonzero
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    got = count_snbc_dfs(g, 6)
+    assert (len(calls) == 1) is table
+    assert got == reference_count_snbc_dfs(g, 6)
+
+
 @pytest.mark.parametrize("chunk", [1, None])
 def test_count_snbc_dfs_edge_cases(monkeypatch, chunk):
     from nblifts import walks
